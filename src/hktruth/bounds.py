@@ -136,7 +136,11 @@ def steered_noise(state: OpinionState, config: ModelConfig) -> np.ndarray:
     """
     if config.delta <= 0.0:
         raise ValueError("the steered protocol requires delta > 0")
-    means = neighbor_means(state.x, config.epsilon)
+    return steer_from_means(neighbor_means(state.x, config.epsilon), config)
+
+
+def steer_from_means(means: np.ndarray, config: ModelConfig) -> np.ndarray:
+    """The steered sign rule of ``steered_noise``, on precomputed neighborhood means."""
     half = config.delta / 2.0
     return np.where(means <= config.truth, half, -half)
 

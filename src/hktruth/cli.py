@@ -11,8 +11,8 @@ with full double precision, so outputs diff cleanly: with the same
 config and seed every data artifact is byte-identical across runs (the
 manifest is too, except its ``duration_seconds`` field).
 
-Exit codes: 0 success, 1 usage or config error, 2 verification failure,
-3 I/O error.
+Exit codes: 0 success, 1 usage or config error (a ``ValueError`` from
+the library included), 2 verification failure, 3 I/O error.
 """
 
 from __future__ import annotations
@@ -23,9 +23,7 @@ import json
 import sys
 import time
 from pathlib import Path
-from typing import Any, Sequence
-
-import numpy as np
+from typing import Any, Iterator, Sequence
 
 from . import __version__
 from .bounds import NoiseBounds, bounds_for_config, compute_bounds, is_admissible
@@ -54,7 +52,7 @@ _MODE_ALIASES = {
     "steered": MODE_STEERED,
 }
 
-_INT_KEYS = {"n", "m", "horizon", "tail_window", "seed", "runs", "jobs"}
+_INT_KEYS = {"n", "m", "horizon", "tail_window", "seed", "runs"}
 _FLOAT_KEYS = {"epsilon", "truth", "delta"}
 _STR_KEYS = {"alpha", "seekers", "mode", "init", "output"}
 
@@ -144,7 +142,6 @@ def _add_run_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--seed", type=int, help="base RNG seed (default 0)")
     parser.add_argument("--init", help='"uniform-random" or a comma list of initial opinions')
     parser.add_argument("--output", help="output directory (default ./out)")
-    parser.add_argument("--jobs", type=int, help="parallel runs for ensembles (default 1)")
 
 
 def build_parser() -> _Parser:
@@ -195,7 +192,7 @@ def _resolve(args: argparse.Namespace) -> dict[str, Any]:
 
     flag_keys = (
         "n", "epsilon", "truth", "alpha", "delta", "m", "seekers",
-        "mode", "horizon", "tail_window", "seed", "init", "output", "jobs", "runs",
+        "mode", "horizon", "tail_window", "seed", "init", "output", "runs",
     )
     flags = {k: getattr(args, k) for k in flag_keys if getattr(args, k, None) is not None}
 
@@ -221,7 +218,6 @@ def _resolve(args: argparse.Namespace) -> dict[str, Any]:
     settings.setdefault("seed", 0)
     settings.setdefault("init", "uniform-random")
     settings.setdefault("output", "out")
-    settings.setdefault("jobs", 1)
     settings.setdefault("runs", 50)
     if "seekers" not in settings:
         settings.setdefault("m", 10)
@@ -249,17 +245,14 @@ def _alpha_value(settings: dict[str, Any]) -> float | list[float]:
 
 
 def build_model_config(settings: dict[str, Any]) -> ModelConfig:
-    try:
-        return ModelConfig(
-            n=settings["n"],
-            epsilon=settings["epsilon"],
-            truth=settings["truth"],
-            alpha=_alpha_value(settings),
-            seekers=_seeker_list(settings),
-            delta=settings["delta"],
-        )
-    except ValueError as exc:
-        raise CliError(EXIT_USAGE, f"invalid model config: {exc}") from exc
+    return ModelConfig(
+        n=settings["n"],
+        epsilon=settings["epsilon"],
+        truth=settings["truth"],
+        alpha=_alpha_value(settings),
+        seekers=_seeker_list(settings),
+        delta=settings["delta"],
+    )
 
 
 def build_run_spec(settings: dict[str, Any], config: ModelConfig, record_states: bool = False) -> RunSpec:
@@ -272,18 +265,15 @@ def build_run_spec(settings: dict[str, Any], config: ModelConfig, record_states:
     mode = settings["mode"]
     if mode not in _MODE_ALIASES:
         raise CliError(EXIT_USAGE, f"unknown mode {mode!r}; use noise-free, iid or steered")
-    try:
-        return RunSpec(
-            config=config,
-            horizon=settings["horizon"],
-            seed=settings["seed"],
-            mode=_MODE_ALIASES[mode],
-            initial=initial,
-            tail_window=settings["tail_window"],
-            record_states=record_states,
-        )
-    except ValueError as exc:
-        raise CliError(EXIT_USAGE, f"invalid run spec: {exc}") from exc
+    return RunSpec(
+        config=config,
+        horizon=settings["horizon"],
+        seed=settings["seed"],
+        mode=_MODE_ALIASES[mode],
+        initial=initial,
+        tail_window=settings["tail_window"],
+        record_states=record_states,
+    )
 
 
 def _fmt(value: float) -> str:
@@ -368,10 +358,7 @@ def _ensure_outdir(settings: dict[str, Any]) -> Path:
 
 def cmd_bounds(settings: dict[str, Any]) -> int:
     config = build_model_config(settings)
-    try:
-        nb = bounds_for_config(config)
-    except ValueError as exc:
-        raise CliError(EXIT_USAGE, f"invalid bounds config: {exc}") from exc
+    nb = bounds_for_config(config)
     alpha = config.homogeneous_alpha()
     payload = {
         "n": config.n,
@@ -429,14 +416,15 @@ def cmd_ensemble(settings: dict[str, Any], per_run: bool) -> int:
     outdir = _ensure_outdir(settings)
     outputs: list[str] = ["summary.json"]
     started = time.perf_counter()
-    records = []
-    for index, record in enumerate(iter_ensemble(spec, runs, seed_base, jobs=settings["jobs"])):
-        if per_run:
-            name = f"run_{index:04d}.csv"
-            _write_metrics_csv(outdir / name, record)
-            outputs.append(name)
-        records.append(record)
-    summary = summarize(records, runs, seed_base)
+
+    def records() -> Iterator[TrajectoryRecord]:
+        for index, record in enumerate(iter_ensemble(spec, runs, seed_base)):
+            if per_run:
+                outputs.append(f"run_{index:04d}.csv")
+                _write_metrics_csv(outdir / outputs[-1], record)
+            yield record
+
+    summary = summarize(records(), runs, seed_base)
     duration = time.perf_counter() - started
 
     payload = {
@@ -463,7 +451,6 @@ def cmd_ensemble(settings: dict[str, Any], per_run: bool) -> int:
         "tail_window": spec.tail_window,
         "seed_base": seed_base,
         "runs": runs,
-        "jobs": settings["jobs"],
         "initial": spec.initial if isinstance(spec.initial, str) else list(spec.initial),
     }
     _write_json(
@@ -480,6 +467,9 @@ def cmd_ensemble(settings: dict[str, Any], per_run: bool) -> int:
 
 
 def cmd_verify(settings: dict[str, Any], trials: int, steps: int, draws: int) -> int:
+    for flag, value in (("--trials", trials), ("--steps", steps), ("--draws", draws)):
+        if value < 1:
+            raise CliError(EXIT_USAGE, f"{flag} must be >= 1, got {value}")
     config = build_model_config(settings)
     results = run_all(config, trials=trials, steps=steps, draws=draws, seed=settings["seed"])
     failed = 0
@@ -525,13 +515,12 @@ def cmd_sweep(settings: dict[str, Any], args: argparse.Namespace) -> int:
             raise CliError(EXIT_USAGE, f"grid point (delta={delta}, alpha={alpha}, m={m}, "
                                        f"epsilon={epsilon}) is invalid: {exc}") from exc
         spec = build_run_spec(point, config)
-        tail_sups = [rec.tail_sup for rec in iter_ensemble(spec, runs, seed_base, jobs=settings["jobs"])]
-        converged = float(np.mean([ts <= nb.delta_bar for ts in tail_sups]))
+        summary = summarize(iter_ensemble(spec, runs, seed_base), runs, seed_base)
         rows.append(
             f"{_fmt(delta)},{_fmt(alpha)},{m},{_fmt(epsilon)},"
             f"{_fmt(nb.delta1)},{_fmt(nb.delta2)},{_fmt(nb.delta_bar)},{_fmt(nb.delta_lower)},"
             f"{str(is_admissible(delta, nb)).lower()},"
-            f"{_fmt(converged)},{_fmt(float(np.median(tail_sups)))}"
+            f"{_fmt(summary.converged_fraction)},{_fmt(summary.tail_sup_median)}"
         )
     duration = time.perf_counter() - started
 
@@ -574,9 +563,9 @@ def main(argv: Sequence[str] | None = None) -> int:
         if args.command == "sweep":
             return cmd_sweep(settings, args)
         raise CliError(EXIT_USAGE, f"unknown command {args.command!r}")
-    except CliError as exc:
+    except (CliError, ValueError) as exc:
         print(f"hktruth: error: {exc}", file=sys.stderr)
-        return exc.code
+        return exc.code if isinstance(exc, CliError) else EXIT_USAGE
     except OSError as exc:
         print(f"hktruth: i/o error: {exc}", file=sys.stderr)
         return EXIT_IO

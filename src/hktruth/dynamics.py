@@ -11,14 +11,16 @@ bounded term and clamps the result back into [0, 1].
 All step functions are pure: they read one state snapshot and return a
 new one, so agents within a step can be evaluated in any order (or in
 parallel) without changing the result. Randomness never enters here;
-noise vectors are explicit inputs supplied by the caller.
+noise vectors are explicit inputs supplied by the caller. The public
+``step_*`` functions validate their inputs; their kernel ``_step`` does
+not, so a run loop that validated once up front calls it on every step.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -64,14 +66,14 @@ class ModelConfig:
         seekers: Iterable[int],
         delta: float,
     ) -> None:
-        if not isinstance(n, (int, np.integer)) or n < 1:
+        if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 1:
             raise ValueError(f"agent count n must be a positive integer, got {n!r}")
         if not 0.0 < epsilon <= 1.0:
             raise ValueError(f"confidence threshold epsilon must lie in (0, 1], got {epsilon!r}")
         if not 0.0 <= truth <= 1.0:
             raise ValueError(f"truth value must lie in [0, 1], got {truth!r}")
-        if delta < 0.0:
-            raise ValueError(f"noise strength delta must be >= 0, got {delta!r}")
+        if not (np.isfinite(delta) and delta >= 0.0):
+            raise ValueError(f"noise strength delta must be finite and >= 0, got {delta!r}")
         if isinstance(alpha, (int, float, np.floating, np.integer)):
             alpha_t = (float(alpha),) * int(n)
         else:
@@ -205,20 +207,34 @@ def local_mean(state: OpinionState, i: int, epsilon: float) -> float:
     return float(min(max(mean, members.min()), members.max()))
 
 
-def _targets(x: np.ndarray, config: ModelConfig) -> np.ndarray:
+def _step(
+    x: np.ndarray, config: ModelConfig, noise: np.ndarray | Callable | None = None
+) -> np.ndarray:
+    """One synchronous step on a raw opinion vector, without validation.
+
+    ``noise`` is None for the noise-free update (no clamp), or the
+    perturbation to add before clamping into [0, 1]: a vector, or a
+    function of (neighborhood means, config), so that steered noise
+    reuses the means the targets are built from.
+    """
     means = neighbor_means(x, config.epsilon)
     eff = config.effective_alpha
     # means + a*(truth - means) cannot leave [min(means, truth), max(...)]
     # even under rounding, unlike the textbook a*truth + (1-a)*means form.
     combined = means + eff * (config.truth - means)
     # full attraction lands on the truth exactly, not within an ulp of it
-    return np.where(eff == 1.0, config.truth, combined)
+    targets = np.where(eff == 1.0, config.truth, combined)
+    if noise is None:
+        return targets
+    if callable(noise):
+        noise = noise(means, config)
+    return clamp_vector(targets + noise)
 
 
 def step_noise_free(state: OpinionState, config: ModelConfig) -> OpinionState:
     """One synchronous step of the noise-free dynamics."""
     validate_state(state, config)
-    return OpinionState(state.t + 1, _targets(state.x, config))
+    return OpinionState(state.t + 1, _step(state.x, config))
 
 
 def step_noisy(state: OpinionState, config: ModelConfig, noise: np.ndarray) -> OpinionState:
@@ -231,12 +247,12 @@ def step_noisy(state: OpinionState, config: ModelConfig, noise: np.ndarray) -> O
     xi = np.asarray(noise, dtype=np.float64)
     if xi.shape != (config.n,):
         raise ValueError(f"noise vector must have shape ({config.n},), got {xi.shape}")
-    if xi.size and np.max(np.abs(xi)) > config.delta:
+    if not np.all(np.abs(xi) <= config.delta):
         raise ValueError(
             f"noise exceeds the configured bound: max |xi| = {np.max(np.abs(xi))!r} "
             f"> delta = {config.delta!r}"
         )
-    return OpinionState(state.t + 1, clamp_vector(_targets(state.x, config) + xi))
+    return OpinionState(state.t + 1, _step(state.x, config, xi))
 
 
 def deviation(state: OpinionState, subset: Iterable[int], truth: float) -> float:

@@ -5,8 +5,9 @@ run's 64-bit seed. When the initial profile is "uniform-random" the first
 ``n`` draws of that stream become x(0); in iid-noise mode each subsequent
 step consumes ``n`` further draws, mapped to [-delta, delta] as
 ``delta * (2u - 1)``. Ensemble run ``i`` uses seed ``seed_base + i``.
-Identical specs therefore reproduce bit-identical trajectories, and
-ensemble summaries do not depend on execution order or parallelism.
+Identical specs therefore reproduce bit-identical trajectories, and a
+run's record is the same alone or inside an ensemble. A run is validated
+once, when it starts; its loop steps a bare vector through the kernel.
 
 Runs never exit early: the trailing-window supremum that stands in for
 the infinite-horizon limit is only meaningful if the tail was actually
@@ -15,15 +16,14 @@ observed.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from typing import Iterator, Sequence
 
 import numpy as np
 
 from . import dynamics as dyn
-from .bounds import NoiseBounds, bounds_for_config, steered_noise
-from .dynamics import ModelConfig, OpinionState
+from .bounds import NoiseBounds, bounds_for_config, steer_from_means
+from .dynamics import ModelConfig
 
 __all__ = [
     "MODE_NOISE_FREE",
@@ -132,21 +132,18 @@ def draw_noise(rng: np.random.Generator, n: int, delta: float) -> np.ndarray:
     return delta * (2.0 * rng.random(n) - 1.0)
 
 
-def _initial_state(spec: RunSpec, rng: np.random.Generator) -> OpinionState:
+def _initial_state(spec: RunSpec, rng: np.random.Generator) -> np.ndarray:
+    # RunSpec has checked an explicit vector; uniform draws lie in [0, 1)
     if spec.initial == "uniform-random":
-        x = rng.random(spec.config.n)
-    else:
-        x = np.asarray(spec.initial, dtype=np.float64)
-    state = OpinionState(0, x)
-    dyn.validate_state(state, spec.config)
-    return state
+        return rng.random(spec.config.n)
+    return np.asarray(spec.initial, dtype=np.float64)
 
 
 def run_trajectory(spec: RunSpec) -> TrajectoryRecord:
     """Run one seeded trajectory to its horizon, recording metrics every step."""
     cfg = spec.config
     rng = np.random.Generator(np.random.PCG64(spec.seed))
-    state = _initial_state(spec, rng)
+    x = _initial_state(spec, rng)
 
     try:
         nb: NoiseBounds | None = bounds_for_config(cfg)
@@ -163,21 +160,19 @@ def run_trajectory(spec: RunSpec) -> TrajectoryRecord:
     d_sbar = np.empty(horizon + 1)
     states = np.empty((horizon + 1, cfg.n)) if spec.record_states else None
     entry: int | None = None
+    # None in noise-free mode: the kernel then adds no noise and skips the clamp
+    steer = steer_from_means if spec.mode == MODE_STEERED else None
 
     for t in range(horizon + 1):
         if t > 0:
-            if spec.mode == MODE_NOISE_FREE:
-                state = dyn.step_noise_free(state, cfg)
-            elif spec.mode == MODE_IID:
-                state = dyn.step_noisy(state, cfg, draw_noise(rng, cfg.n, cfg.delta))
-            else:
-                state = dyn.step_noisy(state, cfg, steered_noise(state, cfg))
-        dev = np.abs(state.x - cfg.truth)
+            noise = draw_noise(rng, cfg.n, cfg.delta) if spec.mode == MODE_IID else steer
+            x = dyn._step(x, cfg, noise)
+        dev = np.abs(x - cfg.truth)
         d_v[t] = dev.max()
         d_s[t] = dev[mask].max() if has_seekers else np.nan
         d_sbar[t] = dev[~mask].max() if has_others else np.nan
         if states is not None:
-            states[t] = state.x
+            states[t] = x
         if nb is not None and entry is None:
             if d_s[t] <= nb.delta1 and (not has_others or d_sbar[t] <= nb.delta2):
                 entry = t
@@ -195,19 +190,12 @@ def run_trajectory(spec: RunSpec) -> TrajectoryRecord:
     )
 
 
-def iter_ensemble(
-    spec: RunSpec, runs: int, seed_base: int, jobs: int = 1
-) -> Iterator[TrajectoryRecord]:
+def iter_ensemble(spec: RunSpec, runs: int, seed_base: int) -> Iterator[TrajectoryRecord]:
     """Yield the records of runs seeded seed_base + 0..runs-1, in index order."""
     if runs < 1:
         raise ValueError(f"an ensemble needs at least one run, got {runs!r}")
-    specs = [replace(spec, seed=seed_base + i) for i in range(runs)]
-    if jobs <= 1:
-        for s in specs:
-            yield run_trajectory(s)
-    else:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            yield from pool.map(run_trajectory, specs)
+    for i in range(runs):
+        yield run_trajectory(replace(spec, seed=seed_base + i))
 
 
 def summarize(
@@ -250,9 +238,9 @@ def summarize(
     )
 
 
-def run_ensemble(spec: RunSpec, runs: int, seed_base: int, jobs: int = 1) -> EnsembleSummary:
+def run_ensemble(spec: RunSpec, runs: int, seed_base: int) -> EnsembleSummary:
     """Run an ensemble and aggregate it; deterministic given seed_base."""
-    return summarize(iter_ensemble(spec, runs, seed_base, jobs=jobs), runs, seed_base)
+    return summarize(iter_ensemble(spec, runs, seed_base), runs, seed_base)
 
 
 def empirical_limsup(record: TrajectoryRecord, window: int) -> float:

@@ -27,7 +27,7 @@ from .bounds import (
     in_absorbing_band,
     is_admissible,
     running_averages,
-    steered_noise,
+    steer_from_means,
 )
 from .dynamics import ModelConfig, OpinionState
 from .harness import draw_noise
@@ -168,14 +168,15 @@ def steered_walk(
     """
     delta = config.delta
     L = block_length(delta)
-    state = OpinionState(0, np.asarray(x0, dtype=np.float64))
-    d = float(np.max(np.abs(state.x - config.truth)))
+    x = np.asarray(x0, dtype=np.float64)
+    dyn.validate_state(OpinionState(0, x), config)
+    d = float(np.max(np.abs(x - config.truth)))
     worst = math.inf
     for t in range(L):
         if d <= delta:
             return worst, True, t
-        state = dyn.step_noisy(state, config, steered_noise(state, config))
-        d_next = float(np.max(np.abs(state.x - config.truth)))
+        x = dyn._step(x, config, steer_from_means)
+        d_next = float(np.max(np.abs(x - config.truth)))
         worst = min(worst, (d - d_next) - delta / 2.0)
         d = d_next
     return worst, d <= delta, L

@@ -1,8 +1,11 @@
 from __future__ import annotations
 
+import hashlib
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -18,6 +21,31 @@ def read_manifest(path, drop_duration=True):
     if drop_duration:
         data.pop("duration_seconds")
     return data
+
+
+# sha256 of metrics.csv from `simulate --mode MODE --seed SEED --horizon 2000`
+# at the default (reference) config; any change to the dynamics, the noise
+# stream or the CSV format changes them
+METRICS_DIGESTS = [
+    ("noise-free", 0, "7d57943284739590f7f7ed8881eb47a3060253f0ab17ed766951f15e2fb06c4e"),
+    ("noise-free", 1, "c49b179ce9f3fa25354c4ec4855acea6eb5d45fc7967a0c19dcbb75f24be0861"),
+    ("noise-free", 2, "9bf5225dba828f868b6cd8b40a08bb3c9bd22e9ffbf14d2baf1686399344e522"),
+    ("iid", 0, "63905d653a7e25731f58dfbc1385134bd58c9e5c0a4ff83cec037d3f212bd54a"),
+    ("iid", 1, "8bdd4ef8ebe220f2daf7199856ca1cd753b64aec8538f6edfa17122e69312690"),
+    ("iid", 2, "a8669a8739764791316e9099c891fb9f22fa8722dab494ef849f231f9a9c6faf"),
+    ("steered", 0, "1beb5219276371a88423e65978c220b2f409c868ddfb2ecaab7ae8f28ad08e5d"),
+    ("steered", 1, "c9b1c89f1352de7c9d7e3b5a953daf753a11399be5f95407bb4a05821b94150a"),
+    ("steered", 2, "6078e4e7756ed010806c3816c58eed41bb0528b7e0e256e07f1e2c928a0612de"),
+]
+
+
+class TestGoldenDigests:
+    @pytest.mark.parametrize("mode,seed,digest", METRICS_DIGESTS)
+    def test_metrics_csv_digest(self, tmp_path, capsys, mode, seed, digest):
+        out = tmp_path / "golden"
+        assert main(["simulate", "--mode", mode, "--seed", str(seed),
+                     "--horizon", "2000", "--output", str(out)]) == 0
+        assert hashlib.sha256((out / "metrics.csv").read_bytes()).hexdigest() == digest
 
 
 class TestBoundsCommand:
@@ -131,6 +159,13 @@ class TestSimulateCommand:
     def test_horizon_zero_rejected(self, capsys):
         assert main(["simulate", "--horizon", "0"]) == 1
 
+    def test_non_finite_delta_rejected(self, tmp_path, capsys):
+        assert main(["simulate", "--delta", "nan", "--horizon", "5",
+                     "--output", str(tmp_path / "nan")]) == 1
+        err = capsys.readouterr().err
+        assert "hktruth: error:" in err and "delta" in err
+        assert not (tmp_path / "nan").exists()
+
 
 class TestEnsembleCommand:
     def test_summary_and_per_run_files(self, tmp_path, capsys):
@@ -170,7 +205,7 @@ class TestEnsembleCommand:
                 "--seed", "4", "--per-run"]
         a, b = tmp_path / "a", tmp_path / "b"
         assert main([*args, "--output", str(a)]) == 0
-        assert main([*args, "--output", str(b), "--jobs", "2"]) == 0
+        assert main([*args, "--output", str(b)]) == 0
         assert (a / "summary.json").read_bytes() == (b / "summary.json").read_bytes()
         for i in range(3):
             name = f"run_{i:04d}.csv"
@@ -178,6 +213,13 @@ class TestEnsembleCommand:
 
     def test_zero_runs_rejected(self, capsys):
         assert main(["ensemble", "--runs", "0"]) == 1
+
+    def test_infinite_delta_rejected(self, tmp_path, capsys):
+        assert main(["ensemble", "--delta", "inf", "--runs", "2", "--horizon", "5",
+                     "--output", str(tmp_path / "inf")]) == 1
+        err = capsys.readouterr().err
+        assert "hktruth: error:" in err and "delta" in err
+        assert not (tmp_path / "inf").exists()
 
 
 class TestVerifyCommand:
@@ -194,6 +236,18 @@ class TestVerifyCommand:
         out = capsys.readouterr().out
         assert code == 0
         assert "[SKIP] absorbing-band-persistence" in out
+
+    @pytest.mark.parametrize("flag,value", [
+        ("--draws", "0"), ("--draws", "-5"), ("--trials", "0"), ("--steps", "0"),
+    ])
+    def test_non_positive_counts_rejected(self, capsys, flag, value):
+        assert main(["verify", flag, value]) == 1
+        assert f"hktruth: error: {flag} must be >= 1" in capsys.readouterr().err
+
+    def test_library_value_error_is_a_usage_error(self, capsys):
+        # a negative seed reaches numpy's PCG64, which raises ValueError
+        assert main(["verify", "--seed", "-2", "--trials", "10", "--draws", "100"]) == 1
+        assert "hktruth: error:" in capsys.readouterr().err
 
     def test_clamp_fault_detected(self, capsys, monkeypatch):
         monkeypatch.setattr(hktruth.dynamics, "clamp_vector", lambda values: values)
@@ -230,6 +284,10 @@ class TestSweepCommand:
         rows = (out / "sweep.csv").read_text().splitlines()[1:]
         keys = [(row.split(",")[0], row.split(",")[2]) for row in rows]
         assert keys == [("0.01", "5"), ("0.01", "10"), ("0.02", "5"), ("0.02", "10")]
+
+    def test_zero_runs_rejected(self, capsys):
+        assert main(["sweep", "--runs", "0"]) == 1
+        assert "hktruth: error:" in capsys.readouterr().err
 
     def test_empty_grid_rejected(self, capsys):
         assert main(["sweep", "--deltas", ""]) == 1
@@ -281,9 +339,12 @@ class TestConfigFile:
 
 class TestCliMisc:
     def test_module_entry_point(self):
+        # the child imports the same hktruth as this process, installed or not
+        src = str(Path(hktruth.dynamics.__file__).parents[1])
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
         proc = subprocess.run(
             [sys.executable, "-m", "hktruth", "bounds", "--delta", "0.02"],
-            capture_output=True, text=True,
+            capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path},
         )
         assert proc.returncode == 0
         assert json.loads(proc.stdout)["delta_lower"] == 0.025

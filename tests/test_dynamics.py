@@ -54,6 +54,9 @@ class TestModelConfig:
             dict(seekers=[-1]),
             dict(alpha=[0.0, 0.5, 0.5], seekers=[0]),  # seeker needs alpha > 0
             dict(alpha=[0.5, 0.5]),  # wrong length
+            dict(delta=float("nan")),
+            dict(delta=float("inf")),
+            dict(n=True),
         ],
     )
     def test_invalid_configs_rejected(self, overrides):
@@ -188,6 +191,8 @@ class TestStepNoisy:
         state = OpinionState(0, [0.1, 0.2, 0.3])
         with pytest.raises(ValueError, match="bound"):
             step_noisy(state, cfg, [0.0, 0.021, 0.0])
+        with pytest.raises(ValueError, match="bound"):
+            step_noisy(state, cfg, [0.0, float("nan"), 0.0])
 
     def test_noise_shape_enforced(self):
         cfg = make_config()

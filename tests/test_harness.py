@@ -216,11 +216,18 @@ class TestEnsemble:
         for rec in records[1:]:
             np.testing.assert_array_equal(rec.d_v, records[0].d_v)
 
-    def test_parallel_equals_serial(self):
-        spec = make_spec(horizon=80, tail_window=8)
-        serial = run_ensemble(spec, runs=6, seed_base=11, jobs=1)
-        parallel = run_ensemble(spec, runs=6, seed_base=11, jobs=3)
-        assert serial == parallel
+    def test_records_match_run_trajectory(self):
+        for mode in (MODE_IID, MODE_STEERED):
+            spec = make_spec(horizon=80, tail_window=8, mode=mode)
+            records = list(iter_ensemble(spec, runs=7, seed_base=11))
+            assert len(records) == 7
+            for i, rec in enumerate(records):
+                alone = run_trajectory(dataclasses.replace(spec, seed=11 + i))
+                np.testing.assert_array_equal(rec.d_v, alone.d_v)
+                np.testing.assert_array_equal(rec.d_s, alone.d_s)
+                np.testing.assert_array_equal(rec.d_sbar, alone.d_sbar)
+                assert rec.entry_time == alone.entry_time
+                assert rec.tail_sup == alone.tail_sup
 
     def test_summarize_checks_run_count(self):
         spec = make_spec(horizon=20, tail_window=2)

@@ -470,6 +470,8 @@ def cmd_verify(settings: dict[str, Any], trials: int, steps: int, draws: int) ->
     for flag, value in (("--trials", trials), ("--steps", steps), ("--draws", draws)):
         if value < 1:
             raise CliError(EXIT_USAGE, f"{flag} must be >= 1, got {value}")
+    if settings["seed"] < 0:
+        raise CliError(EXIT_USAGE, f"--seed must be >= 0, got {settings['seed']}")
     config = build_model_config(settings)
     results = run_all(config, trials=trials, steps=steps, draws=draws, seed=settings["seed"])
     failed = 0

@@ -185,15 +185,27 @@ def neighbor_means(x: np.ndarray, epsilon: float) -> np.ndarray:
     The comparison is the exact closed test |x_j - x_i| <= epsilon. Each
     mean is clipped into the min/max hull of the contributing opinions so
     float summation can never push it outside, which keeps the noise-free
-    update in [0, 1] without clamping.
+    update in [0, 1] without clamping. Leading axes of ``x`` are batch
+    axes: each row along the last axis is a separate group, and its means
+    are the same as for that row alone.
+
+    The hull is read off the sorted row. The rounded difference
+    fl(x_j - x_i) is monotone in x_j, so the agents more than epsilon below
+    x_i are exactly the ``below_i`` smallest and those more than epsilon
+    above it the ``above_i`` largest.
     """
-    diff = np.abs(x[:, None] - x[None, :])
-    mask = diff <= epsilon
-    counts = mask.sum(axis=1)
-    means = (mask @ x) / counts
-    lo = np.where(mask, x[None, :], np.inf).min(axis=1)
-    hi = np.where(mask, x[None, :], -np.inf).max(axis=1)
-    return np.clip(means, lo, hi)
+    n = x.shape[-1]
+    diff = x[..., None, :] - x[..., :, None]  # diff[..., i, j] = fl(x_j - x_i)
+    far_above = diff > epsilon
+    above = far_above.sum(axis=-1)
+    # fl(x_i - x_j) = -fl(x_j - x_i), so column i counts the agents far below x_i
+    below = far_above.sum(axis=-2)
+    mask = np.abs(diff) <= epsilon
+    means = (mask @ x[..., None])[..., 0] / (n - below - above)
+    # batch row r starts at r*n in the flattened sorted opinions
+    ordered = np.sort(x, axis=-1).reshape(-1)
+    start = np.arange(0, ordered.size, n).reshape(x.shape[:-1] + (1,))
+    return np.clip(means, ordered[start + below], ordered[start + (n - 1) - above])
 
 
 def local_mean(state: OpinionState, i: int, epsilon: float) -> float:
@@ -210,12 +222,13 @@ def local_mean(state: OpinionState, i: int, epsilon: float) -> float:
 def _step(
     x: np.ndarray, config: ModelConfig, noise: np.ndarray | Callable | None = None
 ) -> np.ndarray:
-    """One synchronous step on a raw opinion vector, without validation.
+    """One synchronous step on raw opinions, without validation.
 
-    ``noise`` is None for the noise-free update (no clamp), or the
-    perturbation to add before clamping into [0, 1]: a vector, or a
-    function of (neighborhood means, config), so that steered noise
-    reuses the means the targets are built from.
+    ``x`` is one opinion vector or a batch ``(..., n)`` of them, stepped
+    row by row. ``noise`` is None for the noise-free update (no clamp), or
+    the perturbation to add before clamping into [0, 1]: an array of the
+    shape of ``x``, or a function of (neighborhood means, config), so that
+    steered noise reuses the means the targets are built from.
     """
     means = neighbor_means(x, config.epsilon)
     eff = config.effective_alpha

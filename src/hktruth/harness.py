@@ -6,8 +6,14 @@ run's 64-bit seed. When the initial profile is "uniform-random" the first
 step consumes ``n`` further draws, mapped to [-delta, delta] as
 ``delta * (2u - 1)``. Ensemble run ``i`` uses seed ``seed_base + i``.
 Identical specs therefore reproduce bit-identical trajectories, and a
-run's record is the same alone or inside an ensemble. A run is validated
-once, when it starts; its loop steps a bare vector through the kernel.
+run's record is the same alone or in any batch.
+
+Runs are validated once, when they start, and then stepped in lockstep
+batches of at most ``_BATCH_RUNS``: one kernel call per step advances the
+whole batch, and each run draws its iid noise ``_NOISE_BLOCK`` steps at a
+time. A batch holds O(runs * (horizon + _NOISE_BLOCK * n)) floats, so an
+ensemble's memory is bounded by the batch cap, not by its run count.
+``run_trajectory`` is the batch of one.
 
 Runs never exit early: the trailing-window supremum that stands in for
 the infinite-horizon limit is only meaningful if the tail was actually
@@ -38,13 +44,19 @@ __all__ = [
     "iter_ensemble",
     "run_ensemble",
     "summarize",
-    "empirical_limsup",
 ]
 
 MODE_NOISE_FREE = "noise-free"
 MODE_IID = "iid-noise"
 MODE_STEERED = "steered"
 MODES = (MODE_NOISE_FREE, MODE_IID, MODE_STEERED)
+
+# An ensemble steps at most this many runs in lockstep, and fewer when one
+# kernel call would otherwise compare more than _BATCH_CELLS opinion pairs.
+_BATCH_RUNS = 64
+_BATCH_CELLS = 1 << 18
+# iid noise is drawn this many steps at a time from each run's stream
+_NOISE_BLOCK = 32
 
 
 @dataclass(frozen=True)
@@ -125,11 +137,18 @@ class EnsembleSummary:
     bounds: NoiseBounds | None
 
 
-def draw_noise(rng: np.random.Generator, n: int, delta: float) -> np.ndarray:
-    """n independent draws uniform on [-delta, delta], as delta*(2u - 1)."""
+def draw_noise(
+    rng: np.random.Generator, n: int | tuple[int, ...], delta: float, out: np.ndarray | None = None
+) -> np.ndarray:
+    """n independent draws uniform on [-delta, delta], as delta*(2u - 1).
+
+    ``n`` may be a shape, and ``out`` an array of that shape to draw into.
+    The rows of a ``(k, n)`` draw are the values of k successive draws of n.
+    """
     if delta < 0.0:
         raise ValueError(f"noise strength delta must be >= 0, got {delta!r}")
-    return delta * (2.0 * rng.random(n) - 1.0)
+    u = rng.random(n, out=out)
+    return np.multiply(delta, 2.0 * u - 1.0, out=u)
 
 
 def _initial_state(spec: RunSpec, rng: np.random.Generator) -> np.ndarray:
@@ -139,63 +158,85 @@ def _initial_state(spec: RunSpec, rng: np.random.Generator) -> np.ndarray:
     return np.asarray(spec.initial, dtype=np.float64)
 
 
-def run_trajectory(spec: RunSpec) -> TrajectoryRecord:
-    """Run one seeded trajectory to its horizon, recording metrics every step."""
-    cfg = spec.config
-    rng = np.random.Generator(np.random.PCG64(spec.seed))
-    x = _initial_state(spec, rng)
+def _record_deviations(dev: np.ndarray, t: int, xs: np.ndarray, config: ModelConfig) -> None:
+    """Write d_v, d_s, d_sbar of the states ``xs[runs, k, n]`` into steps t..t+k-1."""
+    d = xs - config.truth
+    np.abs(d, out=d)
+    steps = slice(t, t + xs.shape[1])
+    mask = config.seeker_mask
+    dev[0, :, steps] = d.max(axis=-1)
+    if config.m >= 1:
+        dev[1, :, steps] = d[..., mask].max(axis=-1)
+    if config.m < config.n:
+        dev[2, :, steps] = d[..., ~mask].max(axis=-1)
+
+
+def _run_batch(spec: RunSpec, seeds: Sequence[int]) -> list[TrajectoryRecord]:
+    """Run ``spec`` once per seed, stepping all the runs in lockstep."""
+    cfg, horizon, runs = spec.config, spec.horizon, len(seeds)
+    rngs = [np.random.Generator(np.random.PCG64(seed)) for seed in seeds]
+    x = np.stack([_initial_state(spec, rng) for rng in rngs])
 
     try:
         nb: NoiseBounds | None = bounds_for_config(cfg)
     except ValueError:
         nb = None
 
-    mask = cfg.seeker_mask
-    has_seekers = cfg.m >= 1
-    has_others = cfg.m < cfg.n
-    horizon = spec.horizon
-
-    d_v = np.empty(horizon + 1)
-    d_s = np.empty(horizon + 1)
-    d_sbar = np.empty(horizon + 1)
-    states = np.empty((horizon + 1, cfg.n)) if spec.record_states else None
-    entry: int | None = None
+    # d_v, d_s, d_sbar of every run and step; NaN where the subset is empty
+    dev = np.full((3, runs, horizon + 1), np.nan)
+    _record_deviations(dev, 0, x[:, None], cfg)
+    states = np.empty((runs, horizon + 1, cfg.n)) if spec.record_states else None
+    if states is not None:
+        states[:, 0] = x
+    iid = spec.mode == MODE_IID
+    noise = np.empty((runs, min(_NOISE_BLOCK, horizon), cfg.n)) if iid else None
     # None in noise-free mode: the kernel then adds no noise and skips the clamp
     steer = steer_from_means if spec.mode == MODE_STEERED else None
 
-    for t in range(horizon + 1):
-        if t > 0:
-            noise = draw_noise(rng, cfg.n, cfg.delta) if spec.mode == MODE_IID else steer
-            x = dyn._step(x, cfg, noise)
-        dev = np.abs(x - cfg.truth)
-        d_v[t] = dev.max()
-        d_s[t] = dev[mask].max() if has_seekers else np.nan
-        d_sbar[t] = dev[~mask].max() if has_others else np.nan
-        if states is not None:
-            states[t] = x
-        if nb is not None and entry is None:
-            if d_s[t] <= nb.delta1 and (not has_others or d_sbar[t] <= nb.delta2):
-                entry = t
+    for t in range(1, horizon + 1, _NOISE_BLOCK):
+        k = min(_NOISE_BLOCK, horizon + 1 - t)
+        xs = states[:, t : t + k] if states is not None else np.empty((runs, k, cfg.n))
+        if iid:
+            for rng, rows in zip(rngs, noise):
+                draw_noise(rng, (k, cfg.n), cfg.delta, out=rows[:k])
+        for j in range(k):
+            x = dyn._step(x, cfg, noise[:, j] if iid else steer)
+            xs[:, j] = x
+        _record_deviations(dev, t, xs, cfg)
 
-    tail_sup = float(np.max(d_v[horizon + 1 - spec.tail_window :]))
-    return TrajectoryRecord(
-        spec=spec,
-        d_v=d_v,
-        d_s=d_s,
-        d_sbar=d_sbar,
-        entry_time=entry,
-        tail_sup=tail_sup,
-        bounds=nb,
-        states=states,
-    )
+    entries: list[int | None] = [None] * runs
+    if nb is not None:
+        # a NaN d_sbar (no non-seekers) leaves the second condition vacuous
+        inside = (dev[1] <= nb.delta1) & ~(dev[2] > nb.delta2)
+        entries = [int(row.argmax()) if row.any() else None for row in inside]
+    tail_sups = dev[0, :, horizon + 1 - spec.tail_window :].max(axis=1)
+    return [
+        TrajectoryRecord(
+            spec=replace(spec, seed=seed),
+            d_v=dev[0, i],
+            d_s=dev[1, i],
+            d_sbar=dev[2, i],
+            entry_time=entries[i],
+            tail_sup=float(tail_sups[i]),
+            bounds=nb,
+            states=None if states is None else states[i],
+        )
+        for i, seed in enumerate(seeds)
+    ]
+
+
+def run_trajectory(spec: RunSpec) -> TrajectoryRecord:
+    """Run one seeded trajectory to its horizon, recording metrics every step."""
+    return _run_batch(spec, [spec.seed])[0]
 
 
 def iter_ensemble(spec: RunSpec, runs: int, seed_base: int) -> Iterator[TrajectoryRecord]:
     """Yield the records of runs seeded seed_base + 0..runs-1, in index order."""
     if runs < 1:
         raise ValueError(f"an ensemble needs at least one run, got {runs!r}")
-    for i in range(runs):
-        yield run_trajectory(replace(spec, seed=seed_base + i))
+    cap = max(1, min(_BATCH_RUNS, _BATCH_CELLS // spec.config.n**2))
+    for first in range(0, runs, cap):
+        yield from _run_batch(spec, range(seed_base + first, seed_base + min(first + cap, runs)))
 
 
 def summarize(
@@ -241,13 +282,3 @@ def summarize(
 def run_ensemble(spec: RunSpec, runs: int, seed_base: int) -> EnsembleSummary:
     """Run an ensemble and aggregate it; deterministic given seed_base."""
     return summarize(iter_ensemble(spec, runs, seed_base), runs, seed_base)
-
-
-def empirical_limsup(record: TrajectoryRecord, window: int) -> float:
-    """Max worst-deviation over the final ``window`` recorded steps."""
-    length = record.d_v.shape[0]
-    if window < 1:
-        raise ValueError(f"window must be >= 1, got {window!r}")
-    if window > length:
-        raise ValueError(f"window {window} exceeds the recorded series length {length}")
-    return float(np.max(record.d_v[length - window :]))

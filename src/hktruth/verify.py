@@ -137,23 +137,23 @@ def absorption_margin(
     state = _in_band_state(config, bounds, rng, radius)
     if not in_absorbing_band(state, config, bounds):
         raise AssertionError("sampled start state must satisfy the band condition")
-    mask = config.seeker_mask
-    has_others = config.m < config.n
     delta = config.delta
     kinds = rng.integers(0, 3, size=(steps, config.n))
     uniforms = rng.random((steps, config.n))
-    worst = math.inf
+    xi = np.where(kinds == 0, delta, np.where(kinds == 1, -delta, delta * (2.0 * uniforms - 1.0)))
+    # the noise block is checked once here, so the loop steps a bare vector
+    if xi.shape != (steps, config.n) or not np.all(np.abs(xi) <= delta):
+        raise ValueError(f"adversarial noise must have shape ({steps}, {config.n}) and |xi| <= delta")
+    xs = np.empty((steps, config.n))
+    x = state.x
     for t in range(steps):
-        xi = np.where(
-            kinds[t] == 0,
-            delta,
-            np.where(kinds[t] == 1, -delta, delta * (2.0 * uniforms[t] - 1.0)),
-        )
-        state = dyn.step_noisy(state, config, xi)
-        dev = np.abs(state.x - config.truth)
-        worst = min(worst, bounds.delta1 - float(dev[mask].max()))
-        if has_others:
-            worst = min(worst, bounds.delta2 - float(dev[~mask].max()))
+        x = dyn._step(x, config, xi[t])
+        xs[t] = x
+    dev = np.abs(xs - config.truth)
+    mask = config.seeker_mask
+    worst = float(np.min(bounds.delta1 - dev[:, mask].max(axis=1), initial=math.inf))
+    if config.m < config.n:
+        worst = min(worst, float(np.min(bounds.delta2 - dev[:, ~mask].max(axis=1), initial=math.inf)))
     return worst
 
 

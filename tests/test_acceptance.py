@@ -20,6 +20,7 @@ from hktruth.harness import (
     MODE_IID,
     MODE_NOISE_FREE,
     RunSpec,
+    iter_ensemble,
     run_trajectory,
 )
 from hktruth.verify import (
@@ -109,11 +110,8 @@ def test_criterion_04_steered_contraction():
 def test_criterion_05_reference_monte_carlo():
     spec = RunSpec(config=REF_CONFIG, horizon=20_000, mode=MODE_IID, tail_window=2000)
     nb = bounds_for_config(REF_CONFIG)
-    failing: list[int] = []
-    for seed in range(50):
-        rec = run_trajectory(dataclasses.replace(spec, seed=seed))
-        if rec.tail_sup > nb.delta_bar:
-            failing.append(seed)
+    failing = [rec.spec.seed for rec in iter_ensemble(spec, 50, 0)
+               if rec.tail_sup > nb.delta_bar]
     first_fraction = 1.0 - len(failing) / 50
     defects: list[int] = []
     for seed in failing:

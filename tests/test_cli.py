@@ -239,15 +239,17 @@ class TestVerifyCommand:
 
     @pytest.mark.parametrize("flag,value", [
         ("--draws", "0"), ("--draws", "-5"), ("--trials", "0"), ("--steps", "0"),
+        ("--seed", "-2"),
     ])
     def test_non_positive_counts_rejected(self, capsys, flag, value):
+        floor = 0 if flag == "--seed" else 1
         assert main(["verify", flag, value]) == 1
-        assert f"hktruth: error: {flag} must be >= 1" in capsys.readouterr().err
+        assert f"hktruth: error: {flag} must be >= {floor}" in capsys.readouterr().err
 
     def test_library_value_error_is_a_usage_error(self, capsys):
-        # a negative seed reaches numpy's PCG64, which raises ValueError
-        assert main(["verify", "--seed", "-2", "--trials", "10", "--draws", "100"]) == 1
-        assert "hktruth: error:" in capsys.readouterr().err
+        # ModelConfig raises ValueError inside the library; main maps it to exit 1
+        assert main(["verify", "--epsilon", "1.5", "--trials", "10", "--draws", "100"]) == 1
+        assert "hktruth: error: confidence threshold epsilon" in capsys.readouterr().err
 
     def test_clamp_fault_detected(self, capsys, monkeypatch):
         monkeypatch.setattr(hktruth.dynamics, "clamp_vector", lambda values: values)

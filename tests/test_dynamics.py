@@ -9,6 +9,7 @@ from hktruth.dynamics import (
     clamp_unit,
     deviation,
     local_mean,
+    neighbor_means,
     neighbor_set,
     step_noise_free,
     step_noisy,
@@ -124,6 +125,40 @@ class TestLocalMean:
                 nbrs = sorted(neighbor_set(state, i, eps))
                 mean = local_mean(state, i, eps)
                 assert x[nbrs].min() <= mean <= x[nbrs].max()
+
+
+def dense_neighbor_means(x, epsilon):
+    """The neighbour means with the hull taken as a masked min and max."""
+    mask = np.abs(x[:, None] - x[None, :]) <= epsilon
+    means = (mask @ x) / mask.sum(axis=1)
+    lo = np.where(mask, x[None, :], np.inf).min(axis=1)
+    hi = np.where(mask, x[None, :], -np.inf).max(axis=1)
+    return np.clip(means, lo, hi)
+
+
+class TestNeighborMeans:
+    def test_matches_dense_hull_alone_and_in_a_batch(self):
+        # ties, opinions a multiple of epsilon apart, tight clusters at the
+        # ends of [0, 1], and plain uniform profiles
+        rng = np.random.Generator(np.random.PCG64(17))
+        for trial in range(400):
+            n = int(rng.integers(1, 30))
+            eps = float(rng.choice([0.1, 0.2, 0.25, 1.0, 1e-12, rng.uniform(0.01, 1.0)]))
+            kind = trial % 4
+            if kind == 0:
+                x = rng.random(n)
+            elif kind == 1:
+                x = np.minimum(rng.integers(0, int(1 / eps) + 1 if eps > 1e-3 else 4, n) * eps, 1.0)
+            elif kind == 2:
+                x = np.clip(rng.choice([0.0, 1.0]) + rng.normal(0.0, 1e-15, n), 0.0, 1.0)
+            else:
+                x = rng.choice(np.array([0.0, 0.3, 0.3 + eps, 1.0 - eps, 1.0]).clip(0.0, 1.0), n)
+            batch = np.stack([x, rng.permutation(x), rng.random(n)])
+            together = neighbor_means(batch, eps)
+            for row, got in zip(batch, together):
+                expected = dense_neighbor_means(row, eps)
+                np.testing.assert_array_equal(neighbor_means(row, eps), expected)
+                np.testing.assert_array_equal(got, expected)
 
 
 class TestStepNoiseFree:

@@ -5,16 +5,18 @@ import dataclasses
 import numpy as np
 import pytest
 
-from hktruth.bounds import bounds_for_config
-from hktruth.dynamics import ModelConfig, OpinionState
+from hktruth.bounds import bounds_for_config, steered_noise
+from hktruth.dynamics import ModelConfig, OpinionState, step_noise_free, step_noisy
 from hktruth.harness import (
+    _BATCH_RUNS,
+    _NOISE_BLOCK,
     MODE_IID,
     MODE_NOISE_FREE,
     MODE_STEERED,
+    MODES,
     RunSpec,
     TrajectoryRecord,
     draw_noise,
-    empirical_limsup,
     iter_ensemble,
     run_ensemble,
     run_trajectory,
@@ -22,6 +24,43 @@ from hktruth.harness import (
 )
 
 REF_CONFIG = ModelConfig(n=20, epsilon=0.2, truth=0.8, alpha=0.5, seekers=range(10), delta=0.02)
+
+
+def empirical_limsup(record: TrajectoryRecord, window: int) -> float:
+    """Max worst-deviation over the final ``window`` recorded steps."""
+    length = record.d_v.shape[0]
+    if window < 1:
+        raise ValueError(f"window must be >= 1, got {window!r}")
+    if window > length:
+        raise ValueError(f"window {window} exceeds the recorded series length {length}")
+    return float(np.max(record.d_v[length - window :]))
+
+
+def reference_record(spec: RunSpec) -> TrajectoryRecord:
+    """One run stepped a vector at a time through the public step functions."""
+    cfg = spec.config
+    rng = np.random.Generator(np.random.PCG64(spec.seed))
+    state = OpinionState(0, rng.random(cfg.n))
+    states = [state.x]
+    for _ in range(spec.horizon):
+        if spec.mode == MODE_NOISE_FREE:
+            state = step_noise_free(state, cfg)
+        elif spec.mode == MODE_IID:
+            state = step_noisy(state, cfg, draw_noise(rng, cfg.n, cfg.delta))
+        else:
+            state = step_noisy(state, cfg, steered_noise(state, cfg))
+        states.append(state.x)
+    xs = np.array(states)
+    dev = np.abs(xs - cfg.truth)
+    d_s = dev[:, cfg.seeker_mask].max(axis=1)
+    d_sbar = dev[:, ~cfg.seeker_mask].max(axis=1)
+    nb = bounds_for_config(cfg)
+    entry = next((t for t in range(spec.horizon + 1)
+                  if d_s[t] <= nb.delta1 and d_sbar[t] <= nb.delta2), None)
+    d_v = dev.max(axis=1)
+    return TrajectoryRecord(spec=spec, d_v=d_v, d_s=d_s, d_sbar=d_sbar, entry_time=entry,
+                            tail_sup=float(d_v[-spec.tail_window:].max()), bounds=nb,
+                            states=xs)
 
 
 def make_spec(**overrides):
@@ -217,8 +256,11 @@ class TestEnsemble:
             np.testing.assert_array_equal(rec.d_v, records[0].d_v)
 
     def test_records_match_run_trajectory(self):
-        for mode in (MODE_IID, MODE_STEERED):
-            spec = make_spec(horizon=80, tail_window=8, mode=mode)
+        # the wide config is stepped one run per batch to bound the n^2 temporaries
+        wide = ModelConfig(600, 0.2, 0.8, 0.5, range(300), 0.02)
+        for mode, config, horizon in ((MODE_IID, REF_CONFIG, 80), (MODE_STEERED, REF_CONFIG, 80),
+                                      (MODE_IID, wide, 3)):
+            spec = make_spec(config=config, horizon=horizon, tail_window=min(8, horizon), mode=mode)
             records = list(iter_ensemble(spec, runs=7, seed_base=11))
             assert len(records) == 7
             for i, rec in enumerate(records):
@@ -228,6 +270,29 @@ class TestEnsemble:
                 np.testing.assert_array_equal(rec.d_sbar, alone.d_sbar)
                 assert rec.entry_time == alone.entry_time
                 assert rec.tail_sup == alone.tail_sup
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_every_batch_shape_matches_a_vector_loop(self, mode):
+        # runs alone, in one partial batch, and across a batch boundary; the
+        # horizon crosses a noise block
+        spec = make_spec(horizon=_NOISE_BLOCK + 3, tail_window=20, mode=mode,
+                         record_states=True)
+        expected: dict[int, TrajectoryRecord] = {}
+        for runs in (1, 7, 50, _BATCH_RUNS + 6):
+            records = list(iter_ensemble(spec, runs=runs, seed_base=40))
+            assert len(records) == runs
+            for i, rec in enumerate(records):
+                if i not in expected:
+                    expected[i] = reference_record(dataclasses.replace(spec, seed=40 + i))
+                ref = expected[i]
+                assert rec.spec == ref.spec
+                np.testing.assert_array_equal(rec.states, ref.states)
+                np.testing.assert_array_equal(rec.d_v, ref.d_v)
+                np.testing.assert_array_equal(rec.d_s, ref.d_s)
+                np.testing.assert_array_equal(rec.d_sbar, ref.d_sbar)
+                assert rec.entry_time == ref.entry_time
+                assert rec.tail_sup == ref.tail_sup
+                assert rec.bounds == ref.bounds
 
     def test_summarize_checks_run_count(self):
         spec = make_spec(horizon=20, tail_window=2)

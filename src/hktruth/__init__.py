@@ -1,9 +1,7 @@
 """Noisy bounded-confidence truth-seeking dynamics: simulator and verification suite."""
 
 from .bounds import (
-    BlockEstimate,
     NoiseBounds,
-    block_estimate,
     block_length,
     bounds_for_config,
     compute_bounds,
@@ -16,11 +14,7 @@ from .bounds import (
 from .dynamics import (
     ModelConfig,
     OpinionState,
-    clamp_unit,
-    deviation,
-    local_mean,
     neighbor_means,
-    neighbor_set,
     step_noise_free,
     step_noisy,
 )
@@ -33,33 +27,26 @@ from .harness import (
     TrajectoryRecord,
     draw_noise,
     iter_ensemble,
-    run_ensemble,
     run_trajectory,
     summarize,
 )
 
-__version__ = "0.2.0"
+__version__ = "0.3.0"
 
 __all__ = [
     "__version__",
     "ModelConfig",
     "OpinionState",
-    "clamp_unit",
-    "deviation",
-    "local_mean",
     "neighbor_means",
-    "neighbor_set",
     "step_noise_free",
     "step_noisy",
     "NoiseBounds",
-    "BlockEstimate",
     "compute_bounds",
     "bounds_for_config",
     "is_admissible",
     "in_absorbing_band",
     "steered_noise",
     "block_length",
-    "block_estimate",
     "success_log_prob_lower_bound",
     "running_averages",
     "MODE_NOISE_FREE",
@@ -71,6 +58,5 @@ __all__ = [
     "draw_noise",
     "run_trajectory",
     "iter_ensemble",
-    "run_ensemble",
     "summarize",
 ]

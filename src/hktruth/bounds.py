@@ -29,19 +29,18 @@ from typing import Sequence
 
 import numpy as np
 
-from .dynamics import ModelConfig, OpinionState, neighbor_means
+from .dynamics import ModelConfig, OpinionState, neighbor_means, subset_deviations
 
 __all__ = [
     "NoiseBounds",
-    "BlockEstimate",
     "compute_bounds",
     "bounds_for_config",
     "is_admissible",
+    "band_slack",
     "in_absorbing_band",
     "steered_noise",
     "block_length",
     "success_log_prob_lower_bound",
-    "block_estimate",
     "running_averages",
 ]
 
@@ -54,14 +53,6 @@ class NoiseBounds:
     delta2: float
     delta_bar: float
     delta_lower: float
-
-
-@dataclass(frozen=True)
-class BlockEstimate:
-    """Steered-block length and log lower bound on its spontaneous probability."""
-
-    L: int
-    log_prob_lower: float
 
 
 def compute_bounds(n: int, m: int, alpha: float, epsilon: float, delta: float) -> NoiseBounds:
@@ -104,6 +95,15 @@ def is_admissible(delta: float, bounds: NoiseBounds) -> bool:
     return 0.0 < delta <= bounds.delta_lower
 
 
+def band_slack(d_s: np.ndarray, d_sbar: np.ndarray, bounds: NoiseBounds) -> np.ndarray:
+    """Room left inside the absorbing band: min(delta1 - d_s, delta2 - d_sbar).
+
+    Negative means the band is violated. A NaN deviation (empty subset)
+    constrains nothing, so only the other term counts.
+    """
+    return np.fmin(bounds.delta1 - d_s, bounds.delta2 - d_sbar)
+
+
 def in_absorbing_band(state: OpinionState, config: ModelConfig, bounds: NoiseBounds) -> bool:
     """True iff every seeker is within delta1 and every non-seeker within delta2 of the truth.
 
@@ -115,13 +115,8 @@ def in_absorbing_band(state: OpinionState, config: ModelConfig, bounds: NoiseBou
         raise ValueError("the absorbing band is defined only for configs with >= 1 seeker")
     if config.homogeneous_alpha() is None:
         raise ValueError("the absorbing band requires a homogeneous alpha")
-    dev = np.abs(state.x - config.truth)
-    mask = config.seeker_mask
-    if np.max(dev[mask]) > bounds.delta1:
-        return False
-    if config.m < config.n and np.max(dev[~mask]) > bounds.delta2:
-        return False
-    return True
+    _, d_s, d_sbar = subset_deviations(state.x, config)
+    return bool(band_slack(d_s, d_sbar, bounds) >= 0.0)
 
 
 def steered_noise(state: OpinionState, config: ModelConfig) -> np.ndarray:
@@ -165,12 +160,6 @@ def success_log_prob_lower_bound(n: int, L: int) -> float:
     if L < 1:
         raise ValueError(f"block length L must be >= 1, got {L!r}")
     return -float(n) * float(L) * math.log(4.0)
-
-
-def block_estimate(n: int, delta: float) -> BlockEstimate:
-    """Convenience bundle of block_length and its log probability bound."""
-    L = block_length(delta)
-    return BlockEstimate(L, success_log_prob_lower_bound(n, L))
 
 
 def running_averages(seq: Sequence[float] | np.ndarray, offset: int = 0) -> np.ndarray:

@@ -27,14 +27,11 @@ import numpy as np
 __all__ = [
     "ModelConfig",
     "OpinionState",
-    "clamp_unit",
     "clamp_vector",
-    "neighbor_set",
     "neighbor_means",
-    "local_mean",
     "step_noise_free",
     "step_noisy",
-    "deviation",
+    "subset_deviations",
     "validate_state",
 ]
 
@@ -150,33 +147,9 @@ def validate_state(state: OpinionState, config: ModelConfig) -> None:
         raise ValueError("every opinion must lie in [0, 1]")
 
 
-def clamp_unit(v: float) -> float:
-    """Clamp a scalar into [0, 1]."""
-    if v > 1.0:
-        return 1.0
-    if v < 0.0:
-        return 0.0
-    return float(v)
-
-
 def clamp_vector(values: np.ndarray) -> np.ndarray:
     """Componentwise clamp into [0, 1]."""
     return np.clip(values, 0.0, 1.0)
-
-
-def _check_agent(i: int, n: int) -> int:
-    if not 0 <= int(i) < n:
-        raise ValueError(f"agent index {i!r} out of range [0, {n})")
-    return int(i)
-
-
-def neighbor_set(state: OpinionState, i: int, epsilon: float) -> set[int]:
-    """Agents within ``epsilon`` of agent ``i`` (closed comparison, includes i)."""
-    if epsilon <= 0.0:
-        raise ValueError(f"epsilon must be > 0, got {epsilon!r}")
-    i = _check_agent(i, state.x.shape[0])
-    close = np.abs(state.x - state.x[i]) <= epsilon
-    return set(int(j) for j in np.nonzero(close)[0])
 
 
 def neighbor_means(x: np.ndarray, epsilon: float) -> np.ndarray:
@@ -206,17 +179,6 @@ def neighbor_means(x: np.ndarray, epsilon: float) -> np.ndarray:
     ordered = np.sort(x, axis=-1).reshape(-1)
     start = np.arange(0, ordered.size, n).reshape(x.shape[:-1] + (1,))
     return np.clip(means, ordered[start + below], ordered[start + (n - 1) - above])
-
-
-def local_mean(state: OpinionState, i: int, epsilon: float) -> float:
-    """Average opinion over agent i's neighborhood."""
-    if epsilon <= 0.0:
-        raise ValueError(f"epsilon must be > 0, got {epsilon!r}")
-    i = _check_agent(i, state.x.shape[0])
-    close = np.abs(state.x - state.x[i]) <= epsilon
-    members = state.x[close]
-    mean = members.sum() / members.size
-    return float(min(max(mean, members.min()), members.max()))
 
 
 def _step(
@@ -268,9 +230,17 @@ def step_noisy(state: OpinionState, config: ModelConfig, noise: np.ndarray) -> O
     return OpinionState(state.t + 1, _step(state.x, config, xi))
 
 
-def deviation(state: OpinionState, subset: Iterable[int], truth: float) -> float:
-    """Largest distance to the truth over a nonempty set of agents."""
-    idx = sorted(_check_agent(i, state.x.shape[0]) for i in subset)
-    if not idx:
-        raise ValueError("deviation requires a nonempty agent subset")
-    return float(np.max(np.abs(state.x[idx] - truth)))
+def subset_deviations(
+    xs: np.ndarray, config: ModelConfig
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Worst distance to the truth over all agents, the seekers and the rest.
+
+    Returns (d_v, d_s, d_sbar), each reduced over the last axis of ``xs``,
+    whose leading axes (runs, steps) are kept. A subset with no agents
+    gives NaN.
+    """
+    d = np.abs(xs - config.truth)
+    mask = config.seeker_mask
+    d_s = d[..., mask].max(axis=-1) if config.m >= 1 else np.full(d.shape[:-1], np.nan)
+    d_sbar = d[..., ~mask].max(axis=-1) if config.m < config.n else np.full(d.shape[:-1], np.nan)
+    return d.max(axis=-1), d_s, d_sbar

@@ -4,9 +4,11 @@ Reproducibility contract: every run owns one PCG64 stream seeded with the
 run's 64-bit seed. When the initial profile is "uniform-random" the first
 ``n`` draws of that stream become x(0); in iid-noise mode each subsequent
 step consumes ``n`` further draws, mapped to [-delta, delta] as
-``delta * (2u - 1)``. Ensemble run ``i`` uses seed ``seed_base + i``.
-Identical specs therefore reproduce bit-identical trajectories, and a
-run's record is the same alone or in any batch.
+``delta * (2u - 1)``. An ensemble takes a list of non-negative seeds and
+yields one record per seed, in the order given; the CLI's ensemble of
+``runs`` runs uses seeds ``seed_base + 0..runs-1``. Identical specs
+therefore reproduce bit-identical trajectories, and a run's record is the
+same alone or in any batch, whatever seeds share it.
 
 Runs are validated once, when they start, and then stepped in lockstep
 batches of at most ``_BATCH_RUNS``: one kernel call per step advances the
@@ -28,7 +30,7 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from . import dynamics as dyn
-from .bounds import NoiseBounds, bounds_for_config, steer_from_means
+from .bounds import NoiseBounds, band_slack, bounds_for_config, steer_from_means
 from .dynamics import ModelConfig
 
 __all__ = [
@@ -42,7 +44,6 @@ __all__ = [
     "draw_noise",
     "run_trajectory",
     "iter_ensemble",
-    "run_ensemble",
     "summarize",
 ]
 
@@ -158,19 +159,6 @@ def _initial_state(spec: RunSpec, rng: np.random.Generator) -> np.ndarray:
     return np.asarray(spec.initial, dtype=np.float64)
 
 
-def _record_deviations(dev: np.ndarray, t: int, xs: np.ndarray, config: ModelConfig) -> None:
-    """Write d_v, d_s, d_sbar of the states ``xs[runs, k, n]`` into steps t..t+k-1."""
-    d = xs - config.truth
-    np.abs(d, out=d)
-    steps = slice(t, t + xs.shape[1])
-    mask = config.seeker_mask
-    dev[0, :, steps] = d.max(axis=-1)
-    if config.m >= 1:
-        dev[1, :, steps] = d[..., mask].max(axis=-1)
-    if config.m < config.n:
-        dev[2, :, steps] = d[..., ~mask].max(axis=-1)
-
-
 def _run_batch(spec: RunSpec, seeds: Sequence[int]) -> list[TrajectoryRecord]:
     """Run ``spec`` once per seed, stepping all the runs in lockstep."""
     cfg, horizon, runs = spec.config, spec.horizon, len(seeds)
@@ -183,8 +171,8 @@ def _run_batch(spec: RunSpec, seeds: Sequence[int]) -> list[TrajectoryRecord]:
         nb = None
 
     # d_v, d_s, d_sbar of every run and step; NaN where the subset is empty
-    dev = np.full((3, runs, horizon + 1), np.nan)
-    _record_deviations(dev, 0, x[:, None], cfg)
+    dev = np.empty((3, runs, horizon + 1))
+    dev[:, :, 0] = dyn.subset_deviations(x, cfg)
     states = np.empty((runs, horizon + 1, cfg.n)) if spec.record_states else None
     if states is not None:
         states[:, 0] = x
@@ -202,12 +190,11 @@ def _run_batch(spec: RunSpec, seeds: Sequence[int]) -> list[TrajectoryRecord]:
         for j in range(k):
             x = dyn._step(x, cfg, noise[:, j] if iid else steer)
             xs[:, j] = x
-        _record_deviations(dev, t, xs, cfg)
+        dev[:, :, t : t + k] = dyn.subset_deviations(xs, cfg)
 
     entries: list[int | None] = [None] * runs
     if nb is not None:
-        # a NaN d_sbar (no non-seekers) leaves the second condition vacuous
-        inside = (dev[1] <= nb.delta1) & ~(dev[2] > nb.delta2)
+        inside = band_slack(dev[1], dev[2], nb) >= 0.0
         entries = [int(row.argmax()) if row.any() else None for row in inside]
     tail_sups = dev[0, :, horizon + 1 - spec.tail_window :].max(axis=1)
     return [
@@ -230,13 +217,15 @@ def run_trajectory(spec: RunSpec) -> TrajectoryRecord:
     return _run_batch(spec, [spec.seed])[0]
 
 
-def iter_ensemble(spec: RunSpec, runs: int, seed_base: int) -> Iterator[TrajectoryRecord]:
-    """Yield the records of runs seeded seed_base + 0..runs-1, in index order."""
-    if runs < 1:
-        raise ValueError(f"an ensemble needs at least one run, got {runs!r}")
+def iter_ensemble(spec: RunSpec, seeds: Sequence[int]) -> Iterator[TrajectoryRecord]:
+    """Yield the record of ``spec`` run with each seed, in the order given."""
+    if len(seeds) < 1:
+        raise ValueError("an ensemble needs at least one seed")
+    if min(seeds) < 0:
+        raise ValueError(f"seeds must be non-negative integers, got {min(seeds)!r}")
     cap = max(1, min(_BATCH_RUNS, _BATCH_CELLS // spec.config.n**2))
-    for first in range(0, runs, cap):
-        yield from _run_batch(spec, range(seed_base + first, seed_base + min(first + cap, runs)))
+    for first in range(0, len(seeds), cap):
+        yield from _run_batch(spec, seeds[first : first + cap])
 
 
 def summarize(
@@ -277,8 +266,3 @@ def summarize(
         entry_time_max=max(entries) if entries else None,
         bounds=nb,
     )
-
-
-def run_ensemble(spec: RunSpec, runs: int, seed_base: int) -> EnsembleSummary:
-    """Run an ensemble and aggregate it; deterministic given seed_base."""
-    return summarize(iter_ensemble(spec, runs, seed_base), runs, seed_base)

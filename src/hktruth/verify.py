@@ -21,6 +21,7 @@ import numpy as np
 from . import dynamics as dyn
 from .bounds import (
     NoiseBounds,
+    band_slack,
     block_length,
     bounds_for_config,
     compute_bounds,
@@ -149,12 +150,8 @@ def absorption_margin(
     for t in range(steps):
         x = dyn._step(x, config, xi[t])
         xs[t] = x
-    dev = np.abs(xs - config.truth)
-    mask = config.seeker_mask
-    worst = float(np.min(bounds.delta1 - dev[:, mask].max(axis=1), initial=math.inf))
-    if config.m < config.n:
-        worst = min(worst, float(np.min(bounds.delta2 - dev[:, ~mask].max(axis=1), initial=math.inf)))
-    return worst
+    _, d_s, d_sbar = dyn.subset_deviations(xs, config)
+    return float(np.min(band_slack(d_s, d_sbar, bounds), initial=math.inf))
 
 
 def steered_walk(

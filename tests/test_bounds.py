@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from hktruth.bounds import (
-    block_estimate,
     block_length,
     bounds_for_config,
     compute_bounds,
@@ -218,11 +217,6 @@ class TestSuccessLogProb:
             success_log_prob_lower_bound(0, 5)
         with pytest.raises(ValueError):
             success_log_prob_lower_bound(3, 0)
-
-    def test_block_estimate_bundles_both(self):
-        est = block_estimate(20, 0.02)
-        assert est.L == 98
-        assert est.log_prob_lower == success_log_prob_lower_bound(20, 98)
 
 
 class TestRunningAverages:

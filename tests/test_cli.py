@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import json
 import os
@@ -12,6 +13,8 @@ import pytest
 
 import hktruth.dynamics
 from hktruth.cli import main
+from hktruth.dynamics import ModelConfig
+from hktruth.harness import RunSpec, run_trajectory
 
 REF_ARGS = ["--n", "20", "--epsilon", "0.2", "--truth", "0.8", "--alpha", "0.5", "--m", "10"]
 
@@ -295,6 +298,31 @@ class TestSweepCommand:
         assert main(["sweep", "--deltas", ""]) == 1
         assert "empty" in capsys.readouterr().err
 
+    def test_explicit_seekers_are_kept_at_every_grid_point(self, tmp_path, capsys):
+        out = tmp_path / "seekers"
+        assert main(["sweep", "--n", "4", "--seekers", "2,3", "--deltas", "0.01,0.02",
+                     "--runs", "2", "--horizon", "20", "--tail-window", "2",
+                     "--output", str(out)]) == 0
+        rows = [row.split(",") for row in (out / "sweep.csv").read_text().splitlines()[1:]]
+        for row, delta in zip(rows, (0.01, 0.02)):
+            spec = RunSpec(config=ModelConfig(4, 0.2, 0.8, 0.5, [2, 3], delta), horizon=20,
+                           tail_window=2)
+            tails = [run_trajectory(dataclasses.replace(spec, seed=s)).tail_sup for s in (0, 1)]
+            assert row[2] == "2"
+            assert row[-1] == format(float(np.median(tails)), ".12g")
+        manifest = read_manifest(out / "manifest.json")
+        assert manifest["config"]["seekers"] == [2, 3]
+
+    def test_ms_with_explicit_seekers_rejected(self, tmp_path, capsys):
+        cfg = tmp_path / "seekers.cfg"
+        cfg.write_text("seekers = 2,3\n")
+        small = ["--n", "4", "--ms", "1,2", "--runs", "1", "--horizon", "5", "--tail-window", "1"]
+        for source in (["--seekers", "2,3"], ["--config", str(cfg)]):
+            out = tmp_path / source[0][2:]
+            assert main(["sweep", *source, *small, "--output", str(out)]) == 1
+            assert "--ms" in capsys.readouterr().err
+            assert not out.exists()
+
 
 class TestConfigFile:
     def test_file_values_used_and_flags_override(self, tmp_path, capsys):
@@ -355,8 +383,13 @@ class TestCliMisc:
         assert main(["bounds", "--frobnicate"]) == 1
 
     def test_mode_alias_iid_maps_to_iid_noise(self, tmp_path, capsys):
-        out = tmp_path / "alias"
-        assert main(["simulate", "--mode", "iid", "--horizon", "10",
-                     "--tail-window", "1", "--output", str(out)]) == 0
-        manifest = read_manifest(out / "manifest.json")
-        assert manifest["run"]["mode"] == "iid-noise"
+        # both spellings are accepted, as a flag and as a config-file value
+        for mode in ("iid", "iid-noise"):
+            cfg = tmp_path / f"{mode}.cfg"
+            cfg.write_text(f"mode = {mode}\n")
+            for source in (["--mode", mode], ["--config", str(cfg)]):
+                out = tmp_path / f"alias-{mode}-{source[0][2:]}"
+                assert main(["simulate", *source, "--horizon", "10",
+                             "--tail-window", "1", "--output", str(out)]) == 0
+                manifest = read_manifest(out / "manifest.json")
+                assert manifest["run"]["mode"] == "iid-noise"

@@ -6,15 +6,13 @@ import pytest
 from hktruth.dynamics import (
     ModelConfig,
     OpinionState,
-    clamp_unit,
-    deviation,
-    local_mean,
     neighbor_means,
-    neighbor_set,
     step_noise_free,
     step_noisy,
+    subset_deviations,
     validate_state,
 )
+from oracle import clamp_unit, deviation, local_mean, neighbor_set
 
 
 def make_config(**overrides):
@@ -261,6 +259,23 @@ class TestDeviation:
         state = OpinionState(0, [0.1])
         with pytest.raises(ValueError):
             deviation(state, [], 0.8)
+
+
+class TestSubsetDeviations:
+    def test_matches_the_oracle_on_a_batch_with_nan_for_empty_subsets(self):
+        rng = np.random.Generator(np.random.PCG64(23))
+        for seekers in ([], [1, 3], range(5)):
+            cfg = make_config(n=5, seekers=seekers)
+            others = [i for i in range(5) if i not in cfg.seekers]
+            xs = rng.random((2, 3, 5))
+            d_v, d_s, d_sbar = subset_deviations(xs, cfg)
+            assert d_v.shape == d_s.shape == d_sbar.shape == (2, 3)
+            for r in range(2):
+                for t in range(3):
+                    state = OpinionState(0, xs[r, t])
+                    expected = [deviation(state, subset, cfg.truth) if subset else np.nan
+                                for subset in (range(5), sorted(cfg.seekers), others)]
+                    np.testing.assert_array_equal([d_v[r, t], d_s[r, t], d_sbar[r, t]], expected)
 
 
 class TestValidateState:

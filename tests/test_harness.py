@@ -18,7 +18,6 @@ from hktruth.harness import (
     TrajectoryRecord,
     draw_noise,
     iter_ensemble,
-    run_ensemble,
     run_trajectory,
     summarize,
 )
@@ -235,7 +234,7 @@ class TestDegenerateReductions:
 class TestEnsemble:
     def test_singleton_matches_single_trajectory(self):
         spec = make_spec(horizon=150, tail_window=15)
-        summary = run_ensemble(spec, runs=1, seed_base=123)
+        summary = summarize(iter_ensemble(spec, [123]), runs=1, seed_base=123)
         rec = run_trajectory(dataclasses.replace(spec, seed=123))
         assert summary.runs == 1
         assert summary.tail_sup_min == rec.tail_sup
@@ -244,14 +243,14 @@ class TestEnsemble:
 
     def test_seed_derivation_is_base_plus_index(self):
         spec = make_spec(horizon=20, tail_window=2)
-        seeds = [rec.spec.seed for rec in iter_ensemble(spec, runs=4, seed_base=100)]
+        seeds = [rec.spec.seed for rec in iter_ensemble(spec, range(100, 104))]
         assert seeds == [100, 101, 102, 103]
 
     def test_noise_free_runs_with_shared_init_are_identical(self):
         cfg = ModelConfig(10, 0.2, 0.8, 0.5, range(5), 0.0)
         spec = RunSpec(config=cfg, horizon=60, mode=MODE_NOISE_FREE,
                        initial=tuple(np.linspace(0.1, 0.9, 10)), tail_window=6)
-        records = list(iter_ensemble(spec, runs=5, seed_base=0))
+        records = list(iter_ensemble(spec, range(5)))
         for rec in records[1:]:
             np.testing.assert_array_equal(rec.d_v, records[0].d_v)
 
@@ -261,7 +260,7 @@ class TestEnsemble:
         for mode, config, horizon in ((MODE_IID, REF_CONFIG, 80), (MODE_STEERED, REF_CONFIG, 80),
                                       (MODE_IID, wide, 3)):
             spec = make_spec(config=config, horizon=horizon, tail_window=min(8, horizon), mode=mode)
-            records = list(iter_ensemble(spec, runs=7, seed_base=11))
+            records = list(iter_ensemble(spec, range(11, 18)))
             assert len(records) == 7
             for i, rec in enumerate(records):
                 alone = run_trajectory(dataclasses.replace(spec, seed=11 + i))
@@ -279,7 +278,7 @@ class TestEnsemble:
                          record_states=True)
         expected: dict[int, TrajectoryRecord] = {}
         for runs in (1, 7, 50, _BATCH_RUNS + 6):
-            records = list(iter_ensemble(spec, runs=runs, seed_base=40))
+            records = list(iter_ensemble(spec, range(40, 40 + runs)))
             assert len(records) == runs
             for i, rec in enumerate(records):
                 if i not in expected:
@@ -296,13 +295,32 @@ class TestEnsemble:
 
     def test_summarize_checks_run_count(self):
         spec = make_spec(horizon=20, tail_window=2)
-        records = list(iter_ensemble(spec, runs=2, seed_base=0))
+        records = list(iter_ensemble(spec, range(2)))
         with pytest.raises(ValueError):
             summarize(records, runs=3, seed_base=0)
 
     def test_rejects_zero_runs(self):
         with pytest.raises(ValueError):
-            list(iter_ensemble(make_spec(), runs=0, seed_base=0))
+            list(iter_ensemble(make_spec(), []))
+        with pytest.raises(ValueError):
+            list(iter_ensemble(make_spec(), range(0)))
+
+    def test_rejects_a_negative_seed(self):
+        with pytest.raises(ValueError, match="non-negative"):
+            list(iter_ensemble(make_spec(), [3, -1]))
+
+    def test_any_seed_list_matches_run_trajectory(self):
+        # seeds out of order, repeated and far apart, across a batch boundary
+        spec = make_spec(horizon=_NOISE_BLOCK + 3, tail_window=5)
+        seeds = [9, 2, 9, 10**12, *range(_BATCH_RUNS)]
+        records = list(iter_ensemble(spec, seeds))
+        assert [rec.spec.seed for rec in records] == seeds
+        for rec in records[:4] + records[-2:]:
+            alone = run_trajectory(rec.spec)
+            np.testing.assert_array_equal(rec.d_v, alone.d_v)
+            np.testing.assert_array_equal(rec.d_s, alone.d_s)
+            np.testing.assert_array_equal(rec.d_sbar, alone.d_sbar)
+            assert rec.entry_time == alone.entry_time
 
 
 class TestEmpiricalLimsup:

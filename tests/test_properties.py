@@ -6,15 +6,8 @@ import numpy as np
 from hypothesis import given, settings, strategies as st
 
 from hktruth.bounds import compute_bounds, running_averages, steered_noise
-from hktruth.dynamics import (
-    ModelConfig,
-    OpinionState,
-    clamp_unit,
-    local_mean,
-    neighbor_set,
-    step_noise_free,
-    step_noisy,
-)
+from hktruth.dynamics import ModelConfig, OpinionState, step_noise_free, step_noisy
+from oracle import clamp_unit, local_mean, neighbor_set
 
 unit_floats = st.floats(0.0, 1.0, allow_nan=False, allow_infinity=False)
 

@@ -11,13 +11,7 @@ from .bounds import (
     steered_noise,
     success_log_prob_lower_bound,
 )
-from .dynamics import (
-    ModelConfig,
-    OpinionState,
-    neighbor_means,
-    step_noise_free,
-    step_noisy,
-)
+from .dynamics import ModelConfig, neighbor_means, step
 from .harness import (
     MODE_IID,
     MODE_NOISE_FREE,
@@ -31,15 +25,13 @@ from .harness import (
     summarize,
 )
 
-__version__ = "0.3.0"
+__version__ = "0.4.0"
 
 __all__ = [
     "__version__",
     "ModelConfig",
-    "OpinionState",
     "neighbor_means",
-    "step_noise_free",
-    "step_noisy",
+    "step",
     "NoiseBounds",
     "compute_bounds",
     "bounds_for_config",

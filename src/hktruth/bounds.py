@@ -29,7 +29,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .dynamics import ModelConfig, OpinionState, neighbor_means, subset_deviations
+from .dynamics import ModelConfig, subset_deviations, validate_state
 
 __all__ = [
     "NoiseBounds",
@@ -104,7 +104,7 @@ def band_slack(d_s: np.ndarray, d_sbar: np.ndarray, bounds: NoiseBounds) -> np.n
     return np.fmin(bounds.delta1 - d_s, bounds.delta2 - d_sbar)
 
 
-def in_absorbing_band(state: OpinionState, config: ModelConfig, bounds: NoiseBounds) -> bool:
+def in_absorbing_band(x: np.ndarray, config: ModelConfig, bounds: NoiseBounds) -> bool:
     """True iff every seeker is within delta1 and every non-seeker within delta2 of the truth.
 
     Once a profile satisfies this and delta is admissible, no sequence of
@@ -115,27 +115,25 @@ def in_absorbing_band(state: OpinionState, config: ModelConfig, bounds: NoiseBou
         raise ValueError("the absorbing band is defined only for configs with >= 1 seeker")
     if config.homogeneous_alpha() is None:
         raise ValueError("the absorbing band requires a homogeneous alpha")
-    _, d_s, d_sbar = subset_deviations(state.x, config)
+    _, d_s, d_sbar = subset_deviations(validate_state(x, config), config)
     return bool(band_slack(d_s, d_sbar, bounds) >= 0.0)
 
 
-def steered_noise(state: OpinionState, config: ModelConfig) -> np.ndarray:
-    """Deterministic noise vector that drags every agent toward the truth.
+def steered_noise(means: np.ndarray, config: ModelConfig) -> np.ndarray:
+    """Deterministic noise that drags every agent toward the truth.
 
-    Each component is +delta/2 when the agent's neighborhood mean does not
-    exceed the truth and -delta/2 otherwise: a fixed representative of the
-    admissible bands [delta/2, delta] and [-delta, -delta/2]. One noisy
-    step under this choice shrinks the worst deviation to at most
-    max(d - delta/2, delta/2), so from any profile with deviation above
-    delta each step gains at least delta/2.
+    ``means`` are the agents' neighborhood means (``neighbor_means``) of
+    one profile or of a batch. Each component is +delta/2 where the mean
+    does not exceed the truth and -delta/2 otherwise: a fixed
+    representative of the admissible bands [delta/2, delta] and
+    [-delta, -delta/2]. One noisy step under this choice shrinks the worst
+    deviation to at most max(d - delta/2, delta/2), so from any profile
+    with deviation above delta each step gains at least delta/2. The step
+    kernel takes this function as its noise and passes it the means it
+    builds the targets from.
     """
     if config.delta <= 0.0:
         raise ValueError("the steered protocol requires delta > 0")
-    return steer_from_means(neighbor_means(state.x, config.epsilon), config)
-
-
-def steer_from_means(means: np.ndarray, config: ModelConfig) -> np.ndarray:
-    """The steered sign rule of ``steered_noise``, on precomputed neighborhood means."""
     half = config.delta / 2.0
     return np.where(means <= config.truth, half, -half)
 

@@ -166,6 +166,13 @@ def _resolve(args: argparse.Namespace) -> dict[str, Any]:
     defaults = {key: entry[1] for key, entry in SETTINGS.items() if entry[1] is not None}
     settings = {**defaults, **file_values, **flags}
     settings.setdefault("tail_window", max(1, settings["horizon"] // 10))
+    # checked here, so a bad value in a shared config file fails every command
+    if settings["mode"] not in _MODE_NAMES:
+        raise CliError(f"mode must be one of {sorted(_MODE_NAMES)}, got {settings['mode']!r}")
+    settings["mode"] = _MODE_NAMES[settings["mode"]]
+    for key, floor in (("runs", 1), ("seed", 0)):
+        if settings[key] < floor:
+            raise CliError(f"--{key} must be >= {floor}, got {settings[key]}")
     return settings
 
 
@@ -204,7 +211,7 @@ def build_run_spec(settings: dict[str, Any], record_states: bool = False) -> Run
         config=build_model_config(settings),
         horizon=settings["horizon"],
         seed=settings["seed"],
-        mode=_MODE_NAMES.get(settings["mode"], settings["mode"]),
+        mode=settings["mode"],
         initial=initial,
         tail_window=settings["tail_window"],
         record_states=record_states,
@@ -213,10 +220,7 @@ def build_run_spec(settings: dict[str, Any], record_states: bool = False) -> Run
 
 def _seeds(settings: dict[str, Any]) -> range:
     """The seeds of an ensemble: --runs consecutive seeds from --seed."""
-    runs = settings["runs"]
-    if runs < 1:
-        raise CliError(f"--runs must be >= 1, got {runs}")
-    return range(settings["seed"], settings["seed"] + runs)
+    return range(settings["seed"], settings["seed"] + settings["runs"])
 
 
 def _fmt(value: float) -> str:
@@ -347,12 +351,12 @@ def cmd_ensemble(settings: dict[str, Any], args: argparse.Namespace) -> int:
                 _write_metrics_csv(outdir / outputs[-1], record)
             yield record
 
-    summary = summarize(records(), len(seeds), seeds.start)
+    summary = summarize(records())
     duration = time.perf_counter() - started
 
     _write_json(outdir / "summary.json", {
         "runs": summary.runs,
-        "seed_base": summary.seed_base,
+        "seed_base": seeds.start,
         "converged_fraction": summary.converged_fraction,
         "tail_sup": {
             "min": summary.tail_sup_min,
@@ -379,10 +383,9 @@ def cmd_ensemble(settings: dict[str, Any], args: argparse.Namespace) -> int:
 
 
 def cmd_verify(settings: dict[str, Any], args: argparse.Namespace) -> int:
-    for flag, value, floor in (("--trials", args.trials, 1), ("--steps", args.steps, 1),
-                               ("--draws", args.draws, 1), ("--seed", settings["seed"], 0)):
-        if value < floor:
-            raise CliError(f"{flag} must be >= {floor}, got {value}")
+    for flag in ("trials", "steps", "draws"):
+        if getattr(args, flag) < 1:
+            raise CliError(f"--{flag} must be >= 1, got {getattr(args, flag)}")
     results = run_all(build_model_config(settings), trials=args.trials, steps=args.steps,
                       draws=args.draws, seed=settings["seed"])
     failed = 0
@@ -423,7 +426,7 @@ def cmd_sweep(settings: dict[str, Any], args: argparse.Namespace) -> int:
         except ValueError as exc:
             raise CliError(f"grid point (delta={delta}, alpha={alpha}, m={m}, "
                            f"epsilon={epsilon}) is invalid: {exc}") from exc
-        summary = summarize(iter_ensemble(specs[-1], seeds), len(seeds), seeds.start)
+        summary = summarize(iter_ensemble(specs[-1], seeds))
         rows.append(
             f"{_fmt(delta)},{_fmt(alpha)},{m},{_fmt(epsilon)},"
             f"{_fmt(nb.delta1)},{_fmt(nb.delta2)},{_fmt(nb.delta_bar)},{_fmt(nb.delta_lower)},"

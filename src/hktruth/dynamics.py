@@ -8,12 +8,14 @@ strength, so a seeker's update is a convex mix of the neighborhood
 average and the truth. The noisy variant perturbs every target by a
 bounded term and clamps the result back into [0, 1].
 
-All step functions are pure: they read one state snapshot and return a
-new one, so agents within a step can be evaluated in any order (or in
-parallel) without changing the result. Randomness never enters here;
-noise vectors are explicit inputs supplied by the caller. The public
-``step_*`` functions validate their inputs; their kernel ``_step`` does
-not, so a run loop that validated once up front calls it on every step.
+An opinion profile is a plain float64 vector of ``n`` opinions. The step
+is pure: it reads one profile and returns a new one, so agents within a
+step can be evaluated in any order without changing the result.
+Randomness never enters here; noise vectors are explicit inputs supplied
+by the caller. The public ``step`` checks its profile with
+``validate_state`` and its noise against ``delta``; its kernel ``_step``
+checks nothing, so a run loop that validated once up front calls it on
+every step.
 """
 
 from __future__ import annotations
@@ -26,11 +28,9 @@ import numpy as np
 
 __all__ = [
     "ModelConfig",
-    "OpinionState",
     "clamp_vector",
     "neighbor_means",
-    "step_noise_free",
-    "step_noisy",
+    "step",
     "subset_deviations",
     "validate_state",
 ]
@@ -120,31 +120,31 @@ class ModelConfig:
         return None
 
 
-@dataclass(frozen=True, eq=False)
-class OpinionState:
-    """Opinion profile at one time step: step index ``t`` and vector ``x``."""
-
-    t: int
-    x: np.ndarray
-
-    def __post_init__(self) -> None:
-        if self.t < 0:
-            raise ValueError(f"step index t must be >= 0, got {self.t!r}")
-        arr = np.asarray(self.x, dtype=np.float64)
-        if arr.ndim != 1:
-            raise ValueError(f"opinion vector must be 1-D, got shape {arr.shape}")
-        object.__setattr__(self, "t", int(self.t))
-        object.__setattr__(self, "x", arr)
-
-
-def validate_state(state: OpinionState, config: ModelConfig) -> None:
-    """Check that a state is a legal profile for the given config."""
-    if state.x.shape != (config.n,):
-        raise ValueError(f"state has {state.x.shape[0]} opinions, config expects {config.n}")
-    if not np.all(np.isfinite(state.x)):
+def validate_state(x: np.ndarray | Sequence[float], config: ModelConfig) -> np.ndarray:
+    """Return ``x`` as a float64 vector after checking it is a legal profile for ``config``."""
+    arr = np.asarray(x, dtype=np.float64)
+    if arr.shape != (config.n,):
+        raise ValueError(f"opinion vector must have shape ({config.n},), got {arr.shape}")
+    if not np.all(np.isfinite(arr)):
         raise ValueError("opinion vector contains non-finite values")
-    if np.any(state.x < 0.0) or np.any(state.x > 1.0):
+    if np.any(arr < 0.0) or np.any(arr > 1.0):
         raise ValueError("every opinion must lie in [0, 1]")
+    return arr
+
+
+def _check_noise(
+    noise: np.ndarray | Sequence[float], config: ModelConfig, shape: tuple[int, ...]
+) -> np.ndarray:
+    """Return ``noise`` as float64 after checking its shape and |noise| <= delta everywhere."""
+    xi = np.asarray(noise, dtype=np.float64)
+    if xi.shape != shape:
+        raise ValueError(f"noise must have shape {shape}, got {xi.shape}")
+    if not np.all(np.abs(xi) <= config.delta):
+        raise ValueError(
+            f"noise exceeds the configured bound: max |xi| = {np.max(np.abs(xi))!r} "
+            f"> delta = {config.delta!r}"
+        )
+    return xi
 
 
 def clamp_vector(values: np.ndarray) -> np.ndarray:
@@ -206,28 +206,21 @@ def _step(
     return clamp_vector(targets + noise)
 
 
-def step_noise_free(state: OpinionState, config: ModelConfig) -> OpinionState:
-    """One synchronous step of the noise-free dynamics."""
-    validate_state(state, config)
-    return OpinionState(state.t + 1, _step(state.x, config))
+def step(
+    x: np.ndarray | Sequence[float],
+    config: ModelConfig,
+    noise: np.ndarray | Sequence[float] | None = None,
+) -> np.ndarray:
+    """One synchronous step of a checked opinion vector.
 
-
-def step_noisy(state: OpinionState, config: ModelConfig, noise: np.ndarray) -> OpinionState:
-    """One synchronous step with an explicit bounded perturbation.
-
-    ``noise`` must satisfy |noise[i]| <= config.delta for every agent;
-    the perturbed targets are clamped back into [0, 1].
+    Without ``noise`` this is the noise-free update. Otherwise ``noise``
+    must satisfy |noise[i]| <= config.delta for every agent, and the
+    perturbed targets are clamped back into [0, 1].
     """
-    validate_state(state, config)
-    xi = np.asarray(noise, dtype=np.float64)
-    if xi.shape != (config.n,):
-        raise ValueError(f"noise vector must have shape ({config.n},), got {xi.shape}")
-    if not np.all(np.abs(xi) <= config.delta):
-        raise ValueError(
-            f"noise exceeds the configured bound: max |xi| = {np.max(np.abs(xi))!r} "
-            f"> delta = {config.delta!r}"
-        )
-    return OpinionState(state.t + 1, _step(state.x, config, xi))
+    x = validate_state(x, config)
+    if noise is not None:
+        noise = _check_noise(noise, config, x.shape)
+    return _step(x, config, noise)
 
 
 def subset_deviations(

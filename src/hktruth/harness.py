@@ -25,12 +25,12 @@ observed.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
 from . import dynamics as dyn
-from .bounds import NoiseBounds, band_slack, bounds_for_config, steer_from_means
+from .bounds import NoiseBounds, band_slack, bounds_for_config, steered_noise
 from .dynamics import ModelConfig
 
 __all__ = [
@@ -91,14 +91,8 @@ class RunSpec:
                     f'initial must be "uniform-random" or an explicit vector, got {self.initial!r}'
                 )
         else:
-            vec = tuple(float(v) for v in self.initial)
-            if len(vec) != self.config.n:
-                raise ValueError(
-                    f"explicit initial vector needs {self.config.n} entries, got {len(vec)}"
-                )
-            if any(not 0.0 <= v <= 1.0 for v in vec):
-                raise ValueError("initial opinions must lie in [0, 1]")
-            object.__setattr__(self, "initial", vec)
+            vec = dyn.validate_state(self.initial, self.config)
+            object.__setattr__(self, "initial", tuple(vec.tolist()))
 
 
 @dataclass(frozen=True, eq=False)
@@ -126,7 +120,6 @@ class EnsembleSummary:
     """Aggregate convergence statistics across seeded runs."""
 
     runs: int
-    seed_base: int
     converged_fraction: float | None
     tail_sup_min: float
     tail_sup_median: float
@@ -179,7 +172,7 @@ def _run_batch(spec: RunSpec, seeds: Sequence[int]) -> list[TrajectoryRecord]:
     iid = spec.mode == MODE_IID
     noise = np.empty((runs, min(_NOISE_BLOCK, horizon), cfg.n)) if iid else None
     # None in noise-free mode: the kernel then adds no noise and skips the clamp
-    steer = steer_from_means if spec.mode == MODE_STEERED else None
+    steer = steered_noise if spec.mode == MODE_STEERED else None
 
     for t in range(1, horizon + 1, _NOISE_BLOCK):
         k = min(_NOISE_BLOCK, horizon + 1 - t)
@@ -228,12 +221,8 @@ def iter_ensemble(spec: RunSpec, seeds: Sequence[int]) -> Iterator[TrajectoryRec
         yield from _run_batch(spec, seeds[first : first + cap])
 
 
-def summarize(
-    records: Sequence[TrajectoryRecord] | Iterator[TrajectoryRecord],
-    runs: int,
-    seed_base: int,
-) -> EnsembleSummary:
-    """Reduce per-run records to ensemble statistics.
+def summarize(records: Iterable[TrajectoryRecord]) -> EnsembleSummary:
+    """Reduce per-run records, at least one, to ensemble statistics.
 
     The reduction is order-insensitive; entry statistics cover only runs
     whose entry time is defined.
@@ -241,21 +230,18 @@ def summarize(
     tail_sups: list[float] = []
     entries: list[int] = []
     nb: NoiseBounds | None = None
-    seen = 0
     for rec in records:
-        seen += 1
         tail_sups.append(rec.tail_sup)
         if rec.entry_time is not None:
             entries.append(rec.entry_time)
         nb = rec.bounds
-    if seen != runs:
-        raise ValueError(f"expected {runs} records, got {seen}")
+    if not tail_sups:
+        raise ValueError("summarize needs at least one record")
     converged = (
         float(np.mean([ts <= nb.delta_bar for ts in tail_sups])) if nb is not None else None
     )
     return EnsembleSummary(
-        runs=runs,
-        seed_base=seed_base,
+        runs=len(tail_sups),
         converged_fraction=converged,
         tail_sup_min=float(np.min(tail_sups)),
         tail_sup_median=float(np.median(tail_sups)),

@@ -28,9 +28,9 @@ from .bounds import (
     in_absorbing_band,
     is_admissible,
     running_averages,
-    steer_from_means,
+    steered_noise,
 )
-from .dynamics import ModelConfig, OpinionState
+from .dynamics import ModelConfig
 from .harness import draw_noise
 
 __all__ = [
@@ -114,12 +114,11 @@ def sample_admissible_config(
 
 def _in_band_state(
     config: ModelConfig, bounds: NoiseBounds, rng: np.random.Generator, radius: float
-) -> OpinionState:
+) -> np.ndarray:
     """Random profile inside the absorbing band, at most ``radius`` of each bound."""
     per_agent = np.where(config.seeker_mask, bounds.delta1, bounds.delta2)
     u = rng.uniform(-radius, radius, config.n)
-    x = np.clip(config.truth + per_agent * u, 0.0, 1.0)
-    return OpinionState(0, x)
+    return np.clip(config.truth + per_agent * u, 0.0, 1.0)
 
 
 def absorption_margin(
@@ -135,18 +134,16 @@ def absorption_margin(
     uniform draws. Returns min over steps of the distance left inside
     the band; negative means the band was violated.
     """
-    state = _in_band_state(config, bounds, rng, radius)
-    if not in_absorbing_band(state, config, bounds):
+    x = _in_band_state(config, bounds, rng, radius)
+    if not in_absorbing_band(x, config, bounds):
         raise AssertionError("sampled start state must satisfy the band condition")
     delta = config.delta
     kinds = rng.integers(0, 3, size=(steps, config.n))
     uniforms = rng.random((steps, config.n))
     xi = np.where(kinds == 0, delta, np.where(kinds == 1, -delta, delta * (2.0 * uniforms - 1.0)))
     # the noise block is checked once here, so the loop steps a bare vector
-    if xi.shape != (steps, config.n) or not np.all(np.abs(xi) <= delta):
-        raise ValueError(f"adversarial noise must have shape ({steps}, {config.n}) and |xi| <= delta")
+    xi = dyn._check_noise(xi, config, (steps, config.n))
     xs = np.empty((steps, config.n))
-    x = state.x
     for t in range(steps):
         x = dyn._step(x, config, xi[t])
         xs[t] = x
@@ -165,14 +162,13 @@ def steered_walk(
     """
     delta = config.delta
     L = block_length(delta)
-    x = np.asarray(x0, dtype=np.float64)
-    dyn.validate_state(OpinionState(0, x), config)
+    x = dyn.validate_state(x0, config)
     d = float(np.max(np.abs(x - config.truth)))
     worst = math.inf
     for t in range(L):
         if d <= delta:
             return worst, True, t
-        x = dyn._step(x, config, steer_from_means)
+        x = dyn._step(x, config, steered_noise)
         d_next = float(np.max(np.abs(x - config.truth)))
         worst = min(worst, (d - d_next) - delta / 2.0)
         d = d_next
@@ -231,10 +227,9 @@ def check_range_preservation(
     rng = _rng(seed, 2)
     worst = math.inf
     for _ in range(trials):
-        state = OpinionState(0, rng.random(config.n))
-        noisy = dyn.step_noisy(state, config, draw_noise(rng, config.n, config.delta))
-        free = dyn.step_noise_free(state, config)
-        for out in (noisy.x, free.x):
+        x = rng.random(config.n)
+        noisy = dyn.step(x, config, draw_noise(rng, config.n, config.delta))
+        for out in (noisy, dyn.step(x, config)):
             worst = min(worst, float(np.min(out)), float(np.min(1.0 - out)))
     status = "pass" if worst >= 0.0 else "fail"
     return SuiteResult("range-preservation", status, trials, worst)

@@ -6,11 +6,9 @@ independent oracle; the package itself never calls them.
 
 from __future__ import annotations
 
-from typing import Iterable
+from typing import Iterable, Sequence
 
 import numpy as np
-
-from hktruth.dynamics import OpinionState
 
 
 def clamp_unit(v: float) -> float:
@@ -28,29 +26,32 @@ def _check_agent(i: int, n: int) -> int:
     return int(i)
 
 
-def neighbor_set(state: OpinionState, i: int, epsilon: float) -> set[int]:
+def neighbor_set(x: Sequence[float], i: int, epsilon: float) -> set[int]:
     """Agents within ``epsilon`` of agent ``i`` (closed comparison, includes i)."""
     if epsilon <= 0.0:
         raise ValueError(f"epsilon must be > 0, got {epsilon!r}")
-    i = _check_agent(i, state.x.shape[0])
-    close = np.abs(state.x - state.x[i]) <= epsilon
+    x = np.asarray(x, dtype=np.float64)
+    i = _check_agent(i, x.shape[0])
+    close = np.abs(x - x[i]) <= epsilon
     return set(int(j) for j in np.nonzero(close)[0])
 
 
-def local_mean(state: OpinionState, i: int, epsilon: float) -> float:
+def local_mean(x: Sequence[float], i: int, epsilon: float) -> float:
     """Average opinion over agent i's neighborhood."""
     if epsilon <= 0.0:
         raise ValueError(f"epsilon must be > 0, got {epsilon!r}")
-    i = _check_agent(i, state.x.shape[0])
-    close = np.abs(state.x - state.x[i]) <= epsilon
-    members = state.x[close]
+    x = np.asarray(x, dtype=np.float64)
+    i = _check_agent(i, x.shape[0])
+    close = np.abs(x - x[i]) <= epsilon
+    members = x[close]
     mean = members.sum() / members.size
     return float(min(max(mean, members.min()), members.max()))
 
 
-def deviation(state: OpinionState, subset: Iterable[int], truth: float) -> float:
+def deviation(x: Sequence[float], subset: Iterable[int], truth: float) -> float:
     """Largest distance to the truth over a nonempty set of agents."""
-    idx = sorted(_check_agent(i, state.x.shape[0]) for i in subset)
+    x = np.asarray(x, dtype=np.float64)
+    idx = sorted(_check_agent(i, x.shape[0]) for i in subset)
     if not idx:
         raise ValueError("deviation requires a nonempty agent subset")
-    return float(np.max(np.abs(state.x[idx] - truth)))
+    return float(np.max(np.abs(x[idx] - truth)))

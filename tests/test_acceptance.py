@@ -15,7 +15,7 @@ import numpy as np
 
 from hktruth.bounds import block_length, bounds_for_config, compute_bounds
 from hktruth.cli import main as cli_main
-from hktruth.dynamics import ModelConfig, OpinionState, step_noise_free
+from hktruth.dynamics import ModelConfig, step
 from hktruth.harness import (
     MODE_IID,
     MODE_NOISE_FREE,
@@ -193,8 +193,8 @@ def test_criterion_10_degenerate_reductions():
         n = int(rng.integers(1, 12))
         config = ModelConfig(n, float(rng.uniform(0.05, 1)), float(rng.random()),
                              1.0, range(n), 0.0)
-        out = step_noise_free(OpinionState(0, rng.random(n)), config)
-        exact_ok &= bool(np.all(out.x == config.truth))
+        out = step(rng.random(n), config)
+        exact_ok &= bool(np.all(out == config.truth))
 
     # no seekers, no noise: classical bounded-confidence averaging, checked
     # against an independent plain-Python reference step
@@ -211,7 +211,7 @@ def test_criterion_10_degenerate_reductions():
         eps = float(rng.uniform(0.05, 1.0))
         config = ModelConfig(n, eps, float(rng.random()), 0.5, [], 0.0)
         x = rng.random(n)
-        ours = step_noise_free(OpinionState(0, x), config).x
+        ours = step(x, config)
         ref = classical_step(list(x), eps)
         worst = max(worst, float(np.max(np.abs(ours - np.asarray(ref)))))
     classical_ok = worst <= 1e-12

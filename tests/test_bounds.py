@@ -15,7 +15,7 @@ from hktruth.bounds import (
     steered_noise,
     success_log_prob_lower_bound,
 )
-from hktruth.dynamics import ModelConfig, OpinionState
+from hktruth.dynamics import ModelConfig, neighbor_means
 
 REF = dict(n=20, m=10, alpha=0.5, epsilon=0.2)
 
@@ -121,8 +121,8 @@ class TestAbsorbingBand:
 
     def test_exact_truth_profile(self):
         nb = bounds_for_config(self.CFG)
-        state = OpinionState(0, [0.6] * 4)
-        assert in_absorbing_band(state, self.CFG, nb)
+        x = [0.6] * 4
+        assert in_absorbing_band(x, self.CFG, nb)
 
     def test_boundary_is_inside(self):
         # binary-exact parameters so "exactly at the bound" is exact in floats:
@@ -131,60 +131,65 @@ class TestAbsorbingBand:
         nb = bounds_for_config(cfg)
         assert (nb.delta1, nb.delta2) == (3.0 / 64, 5.0 / 64)
         x = [0.5 + nb.delta1, 0.5 - nb.delta1, 0.5 + nb.delta2, 0.5 - nb.delta2]
-        state = OpinionState(0, x)
-        assert np.max(np.abs(state.x[:2] - 0.5)) == nb.delta1  # genuinely on the edge
-        assert in_absorbing_band(state, cfg, nb)
+        assert np.max(np.abs(np.asarray(x[:2]) - 0.5)) == nb.delta1  # genuinely on the edge
+        assert in_absorbing_band(x, cfg, nb)
 
     def test_violating_non_seeker(self):
         nb = bounds_for_config(self.CFG)
         x = [0.6, 0.6, 0.6 + nb.delta2 + 0.01, 0.6]
-        assert not in_absorbing_band(OpinionState(0, x), self.CFG, nb)
+        assert not in_absorbing_band(x, self.CFG, nb)
 
     def test_violating_seeker(self):
         nb = bounds_for_config(self.CFG)
         x = [0.6 + nb.delta1 + 0.005, 0.6, 0.6, 0.6]
-        assert not in_absorbing_band(OpinionState(0, x), self.CFG, nb)
+        assert not in_absorbing_band(x, self.CFG, nb)
 
     def test_all_seekers_vacuous_complement(self):
         cfg = ModelConfig(3, 0.5, 0.5, 0.8, [0, 1, 2], 0.01)
         nb = bounds_for_config(cfg)
-        state = OpinionState(0, [0.5 + nb.delta1] * 3)
-        assert in_absorbing_band(state, cfg, nb)
+        x = [0.5 + nb.delta1] * 3
+        assert in_absorbing_band(x, cfg, nb)
 
     def test_refuses_empty_seeker_set(self):
         cfg = ModelConfig(3, 0.5, 0.5, 0.8, [], 0.01)
         nb = compute_bounds(3, 1, 0.8, 0.5, 0.01)
         with pytest.raises(ValueError):
-            in_absorbing_band(OpinionState(0, [0.5] * 3), cfg, nb)
+            in_absorbing_band([0.5] * 3, cfg, nb)
+
+    def test_checks_the_profile(self):
+        nb = bounds_for_config(self.CFG)
+        for x in ([0.6] * 3, [0.6, 0.6, 0.6, 1.2], [0.6, 0.6, 0.6, float("nan")]):
+            with pytest.raises(ValueError):
+                in_absorbing_band(x, self.CFG, nb)
 
 
 class TestSteeredNoise:
     def test_all_below_truth_pushed_up(self):
         cfg = ModelConfig(3, 0.3, 0.9, 0.5, [0], 0.04)
-        xi = steered_noise(OpinionState(0, [0.1, 0.2, 0.3]), cfg)
+        xi = steered_noise(neighbor_means(np.asarray([0.1, 0.2, 0.3]), cfg.epsilon), cfg)
         np.testing.assert_array_equal(xi, [0.02, 0.02, 0.02])
 
     def test_all_above_truth_pushed_down(self):
         cfg = ModelConfig(3, 0.3, 0.1, 0.5, [0], 0.04)
-        xi = steered_noise(OpinionState(0, [0.7, 0.8, 0.9]), cfg)
+        xi = steered_noise(neighbor_means(np.asarray([0.7, 0.8, 0.9]), cfg.epsilon), cfg)
         np.testing.assert_array_equal(xi, [-0.02, -0.02, -0.02])
 
     def test_sign_follows_neighborhood_mean_not_own_opinion(self):
         # agent 0 sits above the truth but its neighborhood mean is below
         cfg = ModelConfig(2, 1.0, 0.5, 0.5, [0], 0.1)
-        xi = steered_noise(OpinionState(0, [0.6, 0.1]), cfg)
+        xi = steered_noise(neighbor_means(np.asarray([0.6, 0.1]), cfg.epsilon), cfg)
         assert xi[0] == 0.05  # mean 0.35 <= truth
 
     def test_magnitude_within_protocol_band(self):
         cfg = ModelConfig(5, 0.2, 0.4, 0.5, [0], 0.06)
         rng = np.random.Generator(np.random.PCG64(2))
-        xi = steered_noise(OpinionState(0, rng.random(5)), cfg)
+        xi = steered_noise(neighbor_means(rng.random(5), cfg.epsilon), cfg)
         assert np.all((np.abs(xi) >= cfg.delta / 2) & (np.abs(xi) <= cfg.delta))
 
     def test_requires_positive_delta(self):
         cfg = ModelConfig(2, 0.2, 0.4, 0.5, [0], 0.0)
         with pytest.raises(ValueError):
-            steered_noise(OpinionState(0, [0.1, 0.2]), cfg)
+            steered_noise(neighbor_means(np.asarray([0.1, 0.2]), cfg.epsilon), cfg)
 
 
 class TestBlockLength:

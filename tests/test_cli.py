@@ -366,6 +366,20 @@ class TestConfigFile:
     def test_missing_config_file(self, capsys):
         assert main(["bounds", "--config", "/nonexistent/x.cfg"]) == 1
 
+    @pytest.mark.parametrize("command", ["bounds", "verify"])
+    @pytest.mark.parametrize("line,message", [
+        ("mode = bogus", "mode must be one of"),
+        ("runs = -3", "--runs must be >= 1"),
+        ("runs = 0", "--runs must be >= 1"),
+        ("seed = -1", "--seed must be >= 0"),
+    ])
+    def test_bad_value_fails_every_command(self, tmp_path, capsys, command, line, message):
+        # a command that does not use a key still rejects a bad value for it
+        cfg = tmp_path / "shared.cfg"
+        cfg.write_text(line + "\n")
+        assert main([command, "--config", str(cfg)]) == 1
+        assert f"hktruth: error: {message}" in capsys.readouterr().err
+
 
 class TestCliMisc:
     def test_module_entry_point(self):

@@ -5,10 +5,8 @@ import pytest
 
 from hktruth.dynamics import (
     ModelConfig,
-    OpinionState,
     neighbor_means,
-    step_noise_free,
-    step_noisy,
+    step,
     subset_deviations,
     validate_state,
 )
@@ -76,52 +74,51 @@ class TestClamp:
 
 class TestNeighborSet:
     def test_excludes_far_agent(self):
-        state = OpinionState(0, [0.1, 0.2, 0.5])
-        assert neighbor_set(state, 1, 0.2) == {0, 1}
+        x = [0.1, 0.2, 0.5]
+        assert neighbor_set(x, 1, 0.2) == {0, 1}
 
     def test_all_equal_gives_full_set(self):
-        state = OpinionState(0, [0.3] * 5)
-        assert neighbor_set(state, 2, 0.01) == {0, 1, 2, 3, 4}
+        x = [0.3] * 5
+        assert neighbor_set(x, 2, 0.01) == {0, 1, 2, 3, 4}
 
     def test_boundary_distance_is_included(self):
-        state = OpinionState(0, [0.0, 1.0])
-        assert neighbor_set(state, 0, 1.0) == {0, 1}
+        x = [0.0, 1.0]
+        assert neighbor_set(x, 0, 1.0) == {0, 1}
 
     def test_self_membership(self):
-        state = OpinionState(0, [0.05, 0.4, 0.41, 0.95])
+        x = [0.05, 0.4, 0.41, 0.95]
         for i in range(4):
-            assert i in neighbor_set(state, i, 0.1)
+            assert i in neighbor_set(x, i, 0.1)
 
     def test_invalid_index_rejected(self):
-        state = OpinionState(0, [0.1, 0.2])
+        x = [0.1, 0.2]
         with pytest.raises(ValueError):
-            neighbor_set(state, 2, 0.2)
+            neighbor_set(x, 2, 0.2)
         with pytest.raises(ValueError):
-            neighbor_set(state, -1, 0.2)
+            neighbor_set(x, -1, 0.2)
 
 
 class TestLocalMean:
     def test_mean_of_neighbors(self):
-        state = OpinionState(0, [0.1, 0.2, 0.5])
-        assert local_mean(state, 1, 0.2) == pytest.approx(0.15, abs=1e-12)
+        x = [0.1, 0.2, 0.5]
+        assert local_mean(x, 1, 0.2) == pytest.approx(0.15, abs=1e-12)
 
     def test_constant_profile(self):
-        state = OpinionState(0, [0.42] * 4)
-        assert local_mean(state, 0, 0.3) == 0.42
+        x = [0.42] * 4
+        assert local_mean(x, 0, 0.3) == 0.42
 
     def test_two_agents_full_confidence(self):
-        state = OpinionState(0, [0.0, 1.0])
-        assert local_mean(state, 0, 1.0) == pytest.approx(0.5, abs=1e-12)
+        x = [0.0, 1.0]
+        assert local_mean(x, 0, 1.0) == pytest.approx(0.5, abs=1e-12)
 
     def test_stays_within_neighbor_hull(self):
         rng = np.random.Generator(np.random.PCG64(11))
         for _ in range(200):
             x = rng.random(int(rng.integers(1, 12)))
-            state = OpinionState(0, x)
             eps = float(rng.uniform(0.01, 1.0))
             for i in range(x.size):
-                nbrs = sorted(neighbor_set(state, i, eps))
-                mean = local_mean(state, i, eps)
+                nbrs = sorted(neighbor_set(x, i, eps))
+                mean = local_mean(x, i, eps)
                 assert x[nbrs].min() <= mean <= x[nbrs].max()
 
 
@@ -162,19 +159,18 @@ class TestNeighborMeans:
 class TestStepNoiseFree:
     def test_two_agent_hand_example(self):
         cfg = ModelConfig(n=2, epsilon=1.0, truth=1.0, alpha=0.5, seekers=[0], delta=0.0)
-        out = step_noise_free(OpinionState(0, [0.0, 0.0]), cfg)
-        np.testing.assert_allclose(out.x, [0.5, 0.0], atol=1e-15)
-        assert out.t == 1
+        out = step([0.0, 0.0], cfg)
+        np.testing.assert_allclose(out, [0.5, 0.0], atol=1e-15)
 
     def test_all_seekers_full_attraction_hits_truth_exactly(self):
         cfg = ModelConfig(n=4, epsilon=0.3, truth=0.8, alpha=1.0, seekers=range(4), delta=0.0)
-        out = step_noise_free(OpinionState(0, [0.05, 0.3, 0.55, 0.9]), cfg)
-        assert np.all(out.x == 0.8)
+        out = step([0.05, 0.3, 0.55, 0.9], cfg)
+        assert np.all(out == 0.8)
 
     def test_constant_profile_is_fixed_point_without_seekers(self):
         cfg = ModelConfig(n=3, epsilon=0.2, truth=0.8, alpha=0.5, seekers=[], delta=0.0)
-        out = step_noise_free(OpinionState(0, [0.4, 0.4, 0.4]), cfg)
-        np.testing.assert_array_equal(out.x, [0.4, 0.4, 0.4])
+        out = step([0.4, 0.4, 0.4], cfg)
+        np.testing.assert_array_equal(out, [0.4, 0.4, 0.4])
 
     def test_matches_per_agent_formula(self):
         # independent scalar route: seekers mix truth into their local mean
@@ -190,75 +186,74 @@ class TestStepNoiseFree:
                 delta=0.0,
             )
             x = rng.random(n)
-            state = OpinionState(0, x)
-            out = step_noise_free(state, cfg)
+            out = step(x, cfg)
             for i in range(n):
                 nbrs = [j for j in range(n) if abs(x[j] - x[i]) <= cfg.epsilon]
                 mean = sum(x[j] for j in nbrs) / len(nbrs)
                 a = cfg.alpha[i] if i in cfg.seekers else 0.0
                 expected = a * cfg.truth + (1.0 - a) * mean
-                assert out.x[i] == pytest.approx(expected, abs=1e-12)
+                assert out[i] == pytest.approx(expected, abs=1e-12)
 
 
 class TestStepNoisy:
     def test_zero_noise_equals_noise_free(self):
         cfg = make_config(n=5, seekers=[0, 1], delta=0.05)
         rng = np.random.Generator(np.random.PCG64(3))
-        state = OpinionState(0, rng.random(5))
-        noisy = step_noisy(state, cfg, np.zeros(5))
-        free = step_noise_free(state, cfg)
-        np.testing.assert_array_equal(noisy.x, free.x)
+        x = rng.random(5)
+        noisy = step(x, cfg, np.zeros(5))
+        free = step(x, cfg)
+        np.testing.assert_array_equal(noisy, free)
 
     def test_upper_clamp(self):
         cfg = ModelConfig(n=1, epsilon=0.5, truth=0.8, alpha=1.0, seekers=[0], delta=0.3)
-        out = step_noisy(OpinionState(0, [0.8]), cfg, [0.3])
-        assert out.x[0] == 1.0
+        out = step([0.8], cfg, [0.3])
+        assert out[0] == 1.0
 
     def test_lower_clamp(self):
         cfg = ModelConfig(n=1, epsilon=0.5, truth=0.1, alpha=1.0, seekers=[0], delta=0.2)
-        out = step_noisy(OpinionState(0, [0.1]), cfg, [-0.2])
-        assert out.x[0] == 0.0
+        out = step([0.1], cfg, [-0.2])
+        assert out[0] == 0.0
 
     def test_noise_bound_enforced(self):
         cfg = make_config(delta=0.02)
-        state = OpinionState(0, [0.1, 0.2, 0.3])
+        x = [0.1, 0.2, 0.3]
         with pytest.raises(ValueError, match="bound"):
-            step_noisy(state, cfg, [0.0, 0.021, 0.0])
+            step(x, cfg, [0.0, 0.021, 0.0])
         with pytest.raises(ValueError, match="bound"):
-            step_noisy(state, cfg, [0.0, float("nan"), 0.0])
+            step(x, cfg, [0.0, float("nan"), 0.0])
 
     def test_noise_shape_enforced(self):
         cfg = make_config()
         with pytest.raises(ValueError):
-            step_noisy(OpinionState(0, [0.1, 0.2, 0.3]), cfg, [0.0, 0.0])
+            step([0.1, 0.2, 0.3], cfg, [0.0, 0.0])
 
     def test_output_in_unit_interval(self):
         cfg = make_config(n=6, seekers=[0, 3], delta=0.5, epsilon=0.4)
         rng = np.random.Generator(np.random.PCG64(9))
         for _ in range(100):
-            state = OpinionState(0, rng.random(6))
+            x = rng.random(6)
             noise = cfg.delta * (2.0 * rng.random(6) - 1.0)
-            out = step_noisy(state, cfg, noise)
-            assert np.all(out.x >= 0.0) and np.all(out.x <= 1.0)
+            out = step(x, cfg, noise)
+            assert np.all(out >= 0.0) and np.all(out <= 1.0)
 
 
 class TestDeviation:
     def test_symmetric_pair(self):
-        state = OpinionState(0, [0.7, 0.9])
-        assert deviation(state, [0, 1], 0.8) == pytest.approx(0.1, abs=1e-15)
+        x = [0.7, 0.9]
+        assert deviation(x, [0, 1], 0.8) == pytest.approx(0.1, abs=1e-15)
 
     def test_exact_truth_gives_zero(self):
-        state = OpinionState(0, [0.8, 0.8, 0.8])
-        assert deviation(state, [0, 1, 2], 0.8) == 0.0
+        x = [0.8, 0.8, 0.8]
+        assert deviation(x, [0, 1, 2], 0.8) == 0.0
 
     def test_subset_max(self):
-        state = OpinionState(0, [0.1, 0.5, 0.95])
-        assert deviation(state, [0, 1], 0.8) == pytest.approx(0.7, abs=1e-15)
+        x = [0.1, 0.5, 0.95]
+        assert deviation(x, [0, 1], 0.8) == pytest.approx(0.7, abs=1e-15)
 
     def test_empty_subset_rejected(self):
-        state = OpinionState(0, [0.1])
+        x = [0.1]
         with pytest.raises(ValueError):
-            deviation(state, [], 0.8)
+            deviation(x, [], 0.8)
 
 
 class TestSubsetDeviations:
@@ -272,8 +267,8 @@ class TestSubsetDeviations:
             assert d_v.shape == d_s.shape == d_sbar.shape == (2, 3)
             for r in range(2):
                 for t in range(3):
-                    state = OpinionState(0, xs[r, t])
-                    expected = [deviation(state, subset, cfg.truth) if subset else np.nan
+                    x = xs[r, t]
+                    expected = [deviation(x, subset, cfg.truth) if subset else np.nan
                                 for subset in (range(5), sorted(cfg.seekers), others)]
                     np.testing.assert_array_equal([d_v[r, t], d_s[r, t], d_sbar[r, t]], expected)
 
@@ -281,12 +276,21 @@ class TestSubsetDeviations:
 class TestValidateState:
     def test_wrong_length(self):
         with pytest.raises(ValueError):
-            validate_state(OpinionState(0, [0.1, 0.2]), make_config(n=3))
+            validate_state([0.1, 0.2], make_config(n=3))
 
     def test_out_of_range(self):
         with pytest.raises(ValueError):
-            validate_state(OpinionState(0, [0.1, 0.2, 1.2]), make_config(n=3))
+            validate_state([0.1, 0.2, 1.2], make_config(n=3))
 
-    def test_negative_time_rejected(self):
+    def test_non_finite_rejected(self):
         with pytest.raises(ValueError):
-            OpinionState(-1, [0.1])
+            validate_state([0.1, float("nan"), 0.3], make_config(n=3))
+
+    def test_not_a_vector_rejected(self):
+        with pytest.raises(ValueError):
+            validate_state([[0.1, 0.2, 0.3]], make_config(n=3))
+
+    def test_returns_a_float64_vector(self):
+        x = validate_state([0, 1, 0.5], make_config(n=3))
+        assert x.dtype == np.float64
+        np.testing.assert_array_equal(x, [0.0, 1.0, 0.5])

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from hktruth.bounds import bounds_for_config, steered_noise
-from hktruth.dynamics import ModelConfig, OpinionState, step_noise_free, step_noisy
+from hktruth.dynamics import ModelConfig, neighbor_means, step
 from hktruth.harness import (
     _BATCH_RUNS,
     _NOISE_BLOCK,
@@ -36,19 +36,19 @@ def empirical_limsup(record: TrajectoryRecord, window: int) -> float:
 
 
 def reference_record(spec: RunSpec) -> TrajectoryRecord:
-    """One run stepped a vector at a time through the public step functions."""
+    """One run stepped a vector at a time through the public step function."""
     cfg = spec.config
     rng = np.random.Generator(np.random.PCG64(spec.seed))
-    state = OpinionState(0, rng.random(cfg.n))
-    states = [state.x]
+    x = rng.random(cfg.n)
+    states = [x]
     for _ in range(spec.horizon):
         if spec.mode == MODE_NOISE_FREE:
-            state = step_noise_free(state, cfg)
+            x = step(x, cfg)
         elif spec.mode == MODE_IID:
-            state = step_noisy(state, cfg, draw_noise(rng, cfg.n, cfg.delta))
+            x = step(x, cfg, draw_noise(rng, cfg.n, cfg.delta))
         else:
-            state = step_noisy(state, cfg, steered_noise(state, cfg))
-        states.append(state.x)
+            x = step(x, cfg, steered_noise(neighbor_means(x, cfg.epsilon), cfg))
+        states.append(x)
     xs = np.array(states)
     dev = np.abs(xs - cfg.truth)
     d_s = dev[:, cfg.seeker_mask].max(axis=1)
@@ -116,6 +116,8 @@ class TestRunSpecValidation:
             make_spec(initial=(0.5,) * 19)
         with pytest.raises(ValueError):
             make_spec(initial=(1.5,) + (0.5,) * 19)
+        with pytest.raises(ValueError):
+            make_spec(initial=(float("nan"),) + (0.5,) * 19)
         spec = make_spec(initial=[0.5] * 20)
         assert spec.initial == (0.5,) * 20
 
@@ -214,13 +216,10 @@ class TestDegenerateReductions:
         assert rec.d_v.shape == (21,)
 
         expected = list(x)
-        state = OpinionState(0, x)
-        from hktruth.dynamics import step_noise_free
-
         for _ in range(20):
             expected = classical_step(expected, cfg.epsilon)
-            state = step_noise_free(state, cfg)
-            np.testing.assert_allclose(state.x, expected, atol=1e-12)
+            x = step(x, cfg)
+            np.testing.assert_allclose(x, expected, atol=1e-12)
 
     def test_full_attraction_everyone_reaches_truth_at_step_one(self):
         cfg = ModelConfig(6, 0.2, 0.8, 1.0, range(6), 0.0)
@@ -234,7 +233,7 @@ class TestDegenerateReductions:
 class TestEnsemble:
     def test_singleton_matches_single_trajectory(self):
         spec = make_spec(horizon=150, tail_window=15)
-        summary = summarize(iter_ensemble(spec, [123]), runs=1, seed_base=123)
+        summary = summarize(iter_ensemble(spec, [123]))
         rec = run_trajectory(dataclasses.replace(spec, seed=123))
         assert summary.runs == 1
         assert summary.tail_sup_min == rec.tail_sup
@@ -293,11 +292,11 @@ class TestEnsemble:
                 assert rec.tail_sup == ref.tail_sup
                 assert rec.bounds == ref.bounds
 
-    def test_summarize_checks_run_count(self):
-        spec = make_spec(horizon=20, tail_window=2)
-        records = list(iter_ensemble(spec, range(2)))
-        with pytest.raises(ValueError):
-            summarize(records, runs=3, seed_base=0)
+    def test_summarize_rejects_no_records(self):
+        with pytest.raises(ValueError, match="at least one record"):
+            summarize([])
+        with pytest.raises(ValueError, match="at least one record"):
+            summarize(iter(()))
 
     def test_rejects_zero_runs(self):
         with pytest.raises(ValueError):

@@ -1,14 +1,15 @@
 from __future__ import annotations
 
+import re
+from pathlib import Path
+
 import hktruth
 
 PUBLIC = {
     "__version__",
     "ModelConfig",
-    "OpinionState",
     "neighbor_means",
-    "step_noise_free",
-    "step_noisy",
+    "step",
     "NoiseBounds",
     "compute_bounds",
     "bounds_for_config",
@@ -35,3 +36,9 @@ def test_public_names_are_pinned():
     assert sorted(hktruth.__all__) == sorted(PUBLIC)
     for name in PUBLIC:
         assert hasattr(hktruth, name), name
+
+
+def test_version_matches_pyproject():
+    # a regex, not tomllib, which Python 3.10 lacks
+    text = (Path(__file__).parents[1] / "pyproject.toml").read_text()
+    assert re.search(r'^version = "([^"]+)"$', text, re.M).group(1) == hktruth.__version__

@@ -6,7 +6,7 @@ import numpy as np
 from hypothesis import given, settings, strategies as st
 
 from hktruth.bounds import compute_bounds, running_averages, steered_noise
-from hktruth.dynamics import ModelConfig, OpinionState, step_noise_free, step_noisy
+from hktruth.dynamics import ModelConfig, clamp_vector, neighbor_means, step
 from oracle import clamp_unit, local_mean, neighbor_set
 
 unit_floats = st.floats(0.0, 1.0, allow_nan=False, allow_infinity=False)
@@ -26,14 +26,24 @@ def config_and_state(draw, n_max=8, min_seekers=0, min_delta=0.0):
         delta=draw(st.floats(min_delta, 0.3, allow_nan=False)),
     )
     x = np.asarray(draw(st.lists(unit_floats, min_size=n, max_size=n)))
-    return config, OpinionState(0, x)
+    return config, x
+
+
+@st.composite
+def profile_and_epsilon(draw, n_max=12):
+    """Opinions that mix ties, points on an epsilon-grid and clusters at 0 and 1."""
+    eps = draw(st.sampled_from([0.1, 0.2, 0.25, 0.3, 1.0]) | st.floats(0.01, 1.0))
+    grid = [min(k * eps, 1.0) for k in range(int(1.0 / eps) + 1)]
+    ends = [0.0, 5e-324, 1e-15, 1.0 - 1e-15, 1.0 - 2.0**-53, 1.0]
+    opinion = st.sampled_from(grid) | st.sampled_from(ends) | unit_floats
+    return np.asarray(draw(st.lists(opinion, min_size=1, max_size=n_max))), eps
 
 
 @given(config_and_state())
 @settings(deadline=None)
 def test_neighbor_self_membership_and_symmetry(cs):
-    config, state = cs
-    sets = [neighbor_set(state, i, config.epsilon) for i in range(config.n)]
+    config, x = cs
+    sets = [neighbor_set(x, i, config.epsilon) for i in range(config.n)]
     for i in range(config.n):
         assert i in sets[i]
         for j in sets[i]:
@@ -48,39 +58,58 @@ def test_clamp_never_moves_away_from_truth(v, truth):
     assert abs(clamp_unit(v) - truth) <= abs(v - truth)
 
 
+@given(st.lists(st.floats(-1.5, 2.5, allow_nan=False), min_size=1, max_size=20), unit_floats)
+def test_clamp_vector_never_moves_away_from_truth(values, truth):
+    # each value against the drawn truth and the two ends of [0, 1]
+    v = np.asarray(values)[:, None]
+    truths = np.array([truth, 0.0, 1.0])
+    assert np.all(np.abs(clamp_vector(v) - truths) <= np.abs(v - truths))
+
+
+@given(profile_and_epsilon())
+@settings(deadline=None)
+def test_neighbor_means_stay_in_hull_and_match_the_oracle(xe):
+    x, eps = xe
+    means = neighbor_means(x, eps)
+    for i in range(x.size):
+        nbrs = sorted(neighbor_set(x, i, eps))
+        assert x[nbrs].min() <= means[i] <= x[nbrs].max()
+        assert abs(means[i] - local_mean(x, i, eps)) <= 1e-12
+
+
 @given(config_and_state(), st.data())
 @settings(deadline=None)
 def test_noisy_step_stays_in_unit_interval(cs, data):
-    config, state = cs
+    config, x = cs
     raw = data.draw(st.lists(st.floats(-1.0, 1.0, allow_nan=False),
                              min_size=config.n, max_size=config.n))
     noise = config.delta * np.asarray(raw)
-    out = step_noisy(state, config, noise)
-    assert np.all(out.x >= 0.0) and np.all(out.x <= 1.0)
+    out = step(x, config, noise)
+    assert np.all(out >= 0.0) and np.all(out <= 1.0)
 
 
 @given(config_and_state())
 @settings(deadline=None)
 def test_noise_free_step_needs_no_clamping(cs):
-    config, state = cs
-    out = step_noise_free(state, config)
-    assert np.all(out.x >= 0.0) and np.all(out.x <= 1.0)
+    config, x = cs
+    out = step(x, config)
+    assert np.all(out >= 0.0) and np.all(out <= 1.0)
 
 
 @given(config_and_state())
 @settings(deadline=None)
 def test_local_mean_stays_in_neighbor_hull(cs):
-    config, state = cs
+    config, x = cs
     for i in range(config.n):
-        nbrs = sorted(neighbor_set(state, i, config.epsilon))
-        mean = local_mean(state, i, config.epsilon)
-        assert state.x[nbrs].min() <= mean <= state.x[nbrs].max()
+        nbrs = sorted(neighbor_set(x, i, config.epsilon))
+        mean = local_mean(x, i, config.epsilon)
+        assert x[nbrs].min() <= mean <= x[nbrs].max()
 
 
 @given(config_and_state(), st.randoms(use_true_random=False))
 @settings(deadline=None)
 def test_agent_relabeling_permutes_the_step(cs, pyrandom):
-    config, state = cs
+    config, x = cs
     perm = list(range(config.n))
     pyrandom.shuffle(perm)
     perm = np.asarray(perm)
@@ -92,9 +121,9 @@ def test_agent_relabeling_permutes_the_step(cs, pyrandom):
         seekers=[int(np.nonzero(perm == s)[0][0]) for s in config.seekers],
         delta=config.delta,
     )
-    out = step_noise_free(state, config)
-    out_perm = step_noise_free(OpinionState(0, state.x[perm]), relabeled)
-    np.testing.assert_allclose(out_perm.x, out.x[perm], atol=1e-12)
+    out = step(x, config)
+    out_perm = step(x[perm], relabeled)
+    np.testing.assert_allclose(out_perm, out[perm], atol=1e-12)
 
 
 @given(
@@ -132,10 +161,10 @@ def test_precision_bounds_fit_inside_epsilon_at_admissible_noise(n, data):
 @given(config_and_state(min_seekers=0, min_delta=0.001))
 @settings(deadline=None)
 def test_single_steered_step_contracts_above_delta(cs):
-    config, state = cs
-    d = float(np.max(np.abs(state.x - config.truth)))
+    config, x = cs
+    d = float(np.max(np.abs(x - config.truth)))
     if d <= config.delta:
         return
-    out = step_noisy(state, config, steered_noise(state, config))
-    d_next = float(np.max(np.abs(out.x - config.truth)))
+    out = step(x, config, steered_noise(neighbor_means(x, config.epsilon), config))
+    d_next = float(np.max(np.abs(out - config.truth)))
     assert d_next <= d - config.delta / 2 + 1e-12

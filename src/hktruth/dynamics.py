@@ -16,6 +16,16 @@ by the caller. The public ``step`` checks its profile with
 ``validate_state`` and its noise against ``delta``; its kernel ``_step``
 checks nothing, so a run loop that validated once up front calls it on
 every step.
+
+The neighbourhood of an agent is a contiguous window of the sorted
+profile, and ``neighbor_means`` picks its kernel by ``n``. Up to
+``_DENSE_MAX_N`` agents it sums each window with a dense pairwise mask,
+O(n^2) time and memory per row. Above that it finds the windows by
+``searchsorted`` on the sorted row and sums them with prefix sums, in
+O(n log n) time and O(n) memory. Both apply the same exact closed test,
+so they find the same neighbours and the same hull; the two sums differ
+by O(n * 2^-52). Either way a row's means are the same alone or in a
+batch.
 """
 
 from __future__ import annotations
@@ -34,6 +44,9 @@ __all__ = [
     "subset_deviations",
     "validate_state",
 ]
+
+# rows of more agents than this use the sorted-window kernel
+_DENSE_MAX_N = 128
 
 
 @dataclass(frozen=True)
@@ -152,6 +165,73 @@ def clamp_vector(values: np.ndarray) -> np.ndarray:
     return np.clip(values, 0.0, 1.0)
 
 
+def _edge(keys: np.ndarray, offset: float, tol: float, pred: Callable) -> np.ndarray:
+    """Per entry i of the sorted ``keys``, the first j at which ``pred(i, j)`` holds.
+
+    ``pred`` must be false then true along j, and the keys must decide it
+    everywhere but within ``tol`` of keys[i] + offset: false below, true
+    above. Entries with a key in that bracket are settled by bisecting on
+    ``pred`` itself; the others cost one ``searchsorted``.
+    """
+    first = np.searchsorted(keys, keys + (offset - tol))
+    i = np.flatnonzero(np.append(keys, np.inf)[first] <= keys + (offset + tol))
+    a, b = first[i], np.searchsorted(keys, keys[i] + (offset + tol), "right")
+    while i.size:
+        mid = (a + b) >> 1
+        ok = pred(i, mid)
+        a, b = np.where(ok, a, mid + 1), np.where(ok, mid, b)
+        done = a == b
+        first[i[done]] = a[done]
+        i, a, b = i[~done], a[~done], b[~done]
+    return first
+
+
+def _windows(s: np.ndarray, epsilon: float) -> tuple[np.ndarray, np.ndarray]:
+    """Closed-test neighbourhood windows of sorted rows.
+
+    ``s`` is ``(R, n)`` with every row sorted. Returns flat indices into
+    ``s.ravel()``: the neighbours of entry i are entries [lo[i], hi[i]), the
+    j of its row with |fl(s_j - s_i)| <= epsilon, since fl(s_j - s_i) is
+    monotone in s_j. The rows are laid end to end as keys, each shifted
+    clear of its neighbours' windows, so one ``searchsorted`` serves every
+    row. ``tol`` lies far above the rounding of the shifted keys; within it
+    of s_i -/+ epsilon the closed test itself decides.
+    """
+    rows, n = s.shape
+    low, width = s[:, 0].min(), s[:, -1].max() - s[:, 0].min()
+    span = width + 2.0 * epsilon + 1.0
+    keys = ((s - low) + span * np.arange(rows)[:, None]).ravel()
+    tol = 2.0**-48 * span * rows
+    flat = s.ravel()
+    # first neighbour: first j with fl(s_i - s_j) <= epsilon
+    lo = _edge(keys, -epsilon, tol, lambda i, j: flat[i] - flat[j] <= epsilon)
+    # first agent past the window: first j with fl(s_j - s_i) > epsilon
+    hi = _edge(keys, epsilon, tol, lambda i, j: flat[j] - flat[i] > epsilon)
+    return lo, hi
+
+
+def _window_means(x: np.ndarray, epsilon: float) -> np.ndarray:
+    """``neighbor_means`` from the sorted windows, in O(n log n) per row."""
+    n = x.shape[-1]
+    rows = x.size // n
+    # flat position of each row's k-th smallest opinion
+    where = (np.argsort(x, axis=-1).reshape(rows, n) + n * np.arange(rows)[:, None]).ravel()
+    s = x.ravel()[where].reshape(rows, n)
+    lo, hi = _windows(s, epsilon)
+    # prefix sums re-centred on each row's middle opinion, with a leading 0
+    # per row, so the flat index r*n + k is r*n + k + r in ``prefix``
+    centre = s[:, n // 2 : n // 2 + 1]
+    prefix = np.zeros((rows, n + 1))
+    np.cumsum(s - centre, axis=-1, out=prefix[:, 1:])
+    prefix = prefix.ravel()
+    row = np.repeat(np.arange(rows), n)
+    sums = prefix[hi + row] - prefix[lo + row]
+    flat = s.ravel()
+    out = np.empty(x.size)
+    out[where] = np.clip(centre.repeat(n) + sums / (hi - lo), flat[lo], flat[hi - 1])
+    return out.reshape(x.shape)
+
+
 def neighbor_means(x: np.ndarray, epsilon: float) -> np.ndarray:
     """Neighborhood average for every agent of a raw opinion vector.
 
@@ -160,14 +240,20 @@ def neighbor_means(x: np.ndarray, epsilon: float) -> np.ndarray:
     float summation can never push it outside, which keeps the noise-free
     update in [0, 1] without clamping. Leading axes of ``x`` are batch
     axes: each row along the last axis is a separate group, and its means
-    are the same as for that row alone.
+    are the same, bit for bit, as for that row alone.
 
-    The hull is read off the sorted row. The rounded difference
-    fl(x_j - x_i) is monotone in x_j, so the agents more than epsilon below
-    x_i are exactly the ``below_i`` smallest and those more than epsilon
-    above it the ``above_i`` largest.
+    The rounded difference fl(x_j - x_i) is monotone in x_j, so the agents
+    more than epsilon below x_i are exactly the ``below_i`` smallest and
+    those more than epsilon above it the ``above_i`` largest: the
+    neighbourhood is a window of the sorted row, and the hull its ends.
+    Up to ``_DENSE_MAX_N`` agents the sum over it is a dense masked
+    product; above, it comes from prefix sums over the sorted row
+    (``_window_means``), which needs no pairwise arrays. The two sums
+    differ by O(n * 2^-52); the windows are the same.
     """
     n = x.shape[-1]
+    if n > _DENSE_MAX_N:
+        return _window_means(x, epsilon)
     diff = x[..., None, :] - x[..., :, None]  # diff[..., i, j] = fl(x_j - x_i)
     far_above = diff > epsilon
     above = far_above.sum(axis=-1)

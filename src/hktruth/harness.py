@@ -52,8 +52,10 @@ MODE_IID = "iid-noise"
 MODE_STEERED = "steered"
 MODES = (MODE_NOISE_FREE, MODE_IID, MODE_STEERED)
 
-# An ensemble steps at most this many runs in lockstep, and fewer when one
-# kernel call would otherwise compare more than _BATCH_CELLS opinion pairs.
+# An ensemble steps at most this many runs in lockstep, and fewer when the
+# batch's largest arrays would pass _BATCH_CELLS floats: a run costs n^2
+# opinion pairs in the dense neighbour kernel, and its noise block of
+# _NOISE_BLOCK * n draws in the sorted-window kernel, which has no pairs.
 _BATCH_RUNS = 64
 _BATCH_CELLS = 1 << 18
 # iid noise is drawn this many steps at a time from each run's stream
@@ -216,7 +218,9 @@ def iter_ensemble(spec: RunSpec, seeds: Sequence[int]) -> Iterator[TrajectoryRec
         raise ValueError("an ensemble needs at least one seed")
     if min(seeds) < 0:
         raise ValueError(f"seeds must be non-negative integers, got {min(seeds)!r}")
-    cap = max(1, min(_BATCH_RUNS, _BATCH_CELLS // spec.config.n**2))
+    n = spec.config.n
+    cells = n**2 if n <= dyn._DENSE_MAX_N else _NOISE_BLOCK * n
+    cap = max(1, min(_BATCH_RUNS, _BATCH_CELLS // cells))
     for first in range(0, len(seeds), cap):
         yield from _run_batch(spec, seeds[first : first + cap])
 

@@ -219,3 +219,23 @@ def test_criterion_10_degenerate_reductions():
     assert report(10, "degenerate reductions (full attraction; classical averaging)",
                   ok, f"truth hit exactly: {exact_ok}; classical reference max "
                       f"difference {worst:.2e} over 100 states (tol 1e-12)")
+
+
+def test_criterion_11_one_truth_seeker_is_enough():
+    # n = 5 with a single seeker at the largest admissible noise
+    delta = compute_bounds(n=5, m=1, alpha=0.5, epsilon=0.2, delta=0.0).delta_lower
+    noisy = ModelConfig(n=5, epsilon=0.2, truth=0.8, alpha=0.5, seekers=[0], delta=delta)
+    spec = RunSpec(config=noisy, horizon=20_000, mode=MODE_IID, tail_window=1)
+    late = [rec.spec.seed for rec in iter_ensemble(spec, range(32)) if rec.entry_time is None]
+    # the seeds still outside the band are escalated together, as one batch
+    escalated = iter_ensemble(dataclasses.replace(spec, horizon=100_000), late) if late else []
+    never = [rec.spec.seed for rec in escalated if rec.entry_time is None]
+
+    free = dataclasses.replace(noisy, delta=0.0)
+    spec = RunSpec(config=free, horizon=600, mode=MODE_NOISE_FREE, tail_window=1)
+    stranded = sum(rec.d_sbar[-1] > free.epsilon for rec in iter_ensemble(spec, range(32)))
+    ok = not never and stranded >= 1
+    assert report(11, "one seeker (n=5, m=1): with noise every agent reaches the band",
+                  ok, f"noisy: {32 - len(never)}/32 seeds entered the band by step 10^5 "
+                      f"(seeds {late} escalated from 2*10^4); noise-free: {stranded}/32 "
+                      f"seeds end with a non-seeker > epsilon from the truth")

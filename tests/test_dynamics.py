@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 
 from hktruth.dynamics import (
+    _DENSE_MAX_N,
     ModelConfig,
+    _windows,
     neighbor_means,
     step,
     subset_deviations,
@@ -131,29 +133,60 @@ def dense_neighbor_means(x, epsilon):
     return np.clip(means, lo, hi)
 
 
+def profile_of_kind(rng, n, kind):
+    """n opinions of one of four kinds, and an epsilon to test them at.
+
+    The kinds are plain uniform opinions, ties and opinions a multiple of
+    epsilon apart, tight clusters at the ends of [0, 1], and opinions
+    exactly epsilon from one another and from the ends.
+    """
+    eps = float(rng.choice([0.1, 0.2, 0.25, 1.0, 1e-12, rng.uniform(0.01, 1.0)]))
+    kind %= 4
+    if kind == 0:
+        x = rng.random(n)
+    elif kind == 1:
+        x = np.minimum(rng.integers(0, int(1 / eps) + 1 if eps > 1e-3 else 4, n) * eps, 1.0)
+    elif kind == 2:
+        x = np.clip(rng.choice([0.0, 1.0], n) + rng.normal(0.0, 1e-15, n), 0.0, 1.0)
+    else:
+        x = rng.choice(np.array([0.0, 0.3, 0.3 + eps, 1.0 - eps, 1.0]).clip(0.0, 1.0), n)
+    return x, eps
+
+
 class TestNeighborMeans:
     def test_matches_dense_hull_alone_and_in_a_batch(self):
-        # ties, opinions a multiple of epsilon apart, tight clusters at the
-        # ends of [0, 1], and plain uniform profiles
         rng = np.random.Generator(np.random.PCG64(17))
         for trial in range(400):
-            n = int(rng.integers(1, 30))
-            eps = float(rng.choice([0.1, 0.2, 0.25, 1.0, 1e-12, rng.uniform(0.01, 1.0)]))
-            kind = trial % 4
-            if kind == 0:
-                x = rng.random(n)
-            elif kind == 1:
-                x = np.minimum(rng.integers(0, int(1 / eps) + 1 if eps > 1e-3 else 4, n) * eps, 1.0)
-            elif kind == 2:
-                x = np.clip(rng.choice([0.0, 1.0]) + rng.normal(0.0, 1e-15, n), 0.0, 1.0)
-            else:
-                x = rng.choice(np.array([0.0, 0.3, 0.3 + eps, 1.0 - eps, 1.0]).clip(0.0, 1.0), n)
+            x, eps = profile_of_kind(rng, int(rng.integers(1, 30)), trial)
+            n = x.size
             batch = np.stack([x, rng.permutation(x), rng.random(n)])
             together = neighbor_means(batch, eps)
             for row, got in zip(batch, together):
                 expected = dense_neighbor_means(row, eps)
                 np.testing.assert_array_equal(neighbor_means(row, eps), expected)
                 np.testing.assert_array_equal(got, expected)
+
+    @pytest.mark.parametrize("n", [_DENSE_MAX_N + 1, 200, 2000])
+    def test_sorted_windows_match_the_dense_mask(self, n):
+        # above the dense threshold: the same neighbours and hull as the
+        # closed mask, bit for bit, and sums that differ only by rounding
+        rng = np.random.Generator(np.random.PCG64(n))
+        for trial in range(40 if n < 1000 else 8):
+            x, eps = profile_of_kind(rng, n, trial)
+            mask = np.abs(x[None, :] - x[:, None]) <= eps
+            order = np.argsort(x)
+            s = x[order]
+            lo, hi = _windows(s[None, :], eps)
+            np.testing.assert_array_equal(hi - lo, mask[order].sum(axis=1))
+            np.testing.assert_array_equal(s[lo], np.where(mask, x, np.inf).min(axis=1)[order])
+            np.testing.assert_array_equal(s[hi - 1], np.where(mask, x, -np.inf).max(axis=1)[order])
+            means = neighbor_means(x, eps)
+            assert np.max(np.abs(means - dense_neighbor_means(x, eps))) <= 4 * n * 2.0**-52
+            batch = np.stack([x, rng.permutation(x), profile_of_kind(rng, n, trial + 1)[0]])
+            together = neighbor_means(batch, eps)
+            np.testing.assert_array_equal(together[0], means)
+            for row, got in zip(batch[1:], together[1:]):
+                np.testing.assert_array_equal(got, neighbor_means(row, eps))
 
 
 class TestStepNoiseFree:

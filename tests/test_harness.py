@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -190,6 +191,31 @@ class TestRunTrajectory:
         assert np.all(~np.isnan(rec.d_sbar))
         assert rec.entry_time is None and rec.bounds is None
 
+    def test_large_n_run_holds_no_pairwise_arrays(self):
+        # at n = 20000 a dense pairwise kernel would need GBs a step
+        n = 20_000
+        cfg = ModelConfig(n, 0.2, 0.8, 0.5, range(n // 2), 0.02)
+        spec = make_spec(config=cfg, horizon=3, seed=5, tail_window=1, record_states=True)
+        tracemalloc.start()
+        try:
+            rec = run_trajectory(spec)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 2**20
+        # 50 agents of the last step against the closed test, one block of rows,
+        # with the noise rebuilt from the run's documented stream
+        rng = np.random.Generator(np.random.PCG64(5))
+        rng.random(n)  # x(0)
+        noise = cfg.delta * (2.0 * rng.random((3, n)) - 1.0)
+        x = rec.states[2]
+        agents = np.random.Generator(np.random.PCG64(0)).choice(n, 50, replace=False)
+        close = np.abs(x[None, :] - x[agents, None]) <= cfg.epsilon
+        means = (close * x).sum(axis=1) / close.sum(axis=1)
+        targets = means + cfg.effective_alpha[agents] * (cfg.truth - means)
+        expected = np.clip(targets + noise[2, agents], 0.0, 1.0)
+        assert np.max(np.abs(rec.states[3, agents] - expected)) <= 1e-12
+
     def test_all_seekers_gives_nan_complement_series(self):
         cfg = ModelConfig(5, 0.3, 0.5, 0.5, range(5), 0.01)
         rec = run_trajectory(RunSpec(config=cfg, horizon=10, tail_window=2))
@@ -254,7 +280,7 @@ class TestEnsemble:
             np.testing.assert_array_equal(rec.d_v, records[0].d_v)
 
     def test_records_match_run_trajectory(self):
-        # the wide config is stepped one run per batch to bound the n^2 temporaries
+        # the wide config takes the sorted-window kernel, and all 7 runs share a batch
         wide = ModelConfig(600, 0.2, 0.8, 0.5, range(300), 0.02)
         for mode, config, horizon in ((MODE_IID, REF_CONFIG, 80), (MODE_STEERED, REF_CONFIG, 80),
                                       (MODE_IID, wide, 3)):

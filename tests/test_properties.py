@@ -6,7 +6,7 @@ import numpy as np
 from hypothesis import given, settings, strategies as st
 
 from hktruth.bounds import compute_bounds, running_averages, steered_noise
-from hktruth.dynamics import ModelConfig, clamp_vector, neighbor_means, step
+from hktruth.dynamics import _DENSE_MAX_N, ModelConfig, clamp_vector, neighbor_means, step
 from oracle import clamp_unit, local_mean, neighbor_set
 
 unit_floats = st.floats(0.0, 1.0, allow_nan=False, allow_infinity=False)
@@ -30,13 +30,18 @@ def config_and_state(draw, n_max=8, min_seekers=0, min_delta=0.0):
 
 
 @st.composite
-def profile_and_epsilon(draw, n_max=12):
-    """Opinions that mix ties, points on an epsilon-grid and clusters at 0 and 1."""
+def profile_and_epsilon(draw, n_max=12, wide_max=300):
+    """Opinions that mix ties, points on an epsilon-grid and clusters at 0 and 1.
+
+    Sizes come from both neighbour kernels: up to ``n_max``, and above the
+    dense threshold up to ``wide_max``.
+    """
     eps = draw(st.sampled_from([0.1, 0.2, 0.25, 0.3, 1.0]) | st.floats(0.01, 1.0))
     grid = [min(k * eps, 1.0) for k in range(int(1.0 / eps) + 1)]
     ends = [0.0, 5e-324, 1e-15, 1.0 - 1e-15, 1.0 - 2.0**-53, 1.0]
     opinion = st.sampled_from(grid) | st.sampled_from(ends) | unit_floats
-    return np.asarray(draw(st.lists(opinion, min_size=1, max_size=n_max))), eps
+    n = draw(st.integers(1, n_max) | st.integers(_DENSE_MAX_N + 1, wide_max))
+    return np.asarray(draw(st.lists(opinion, min_size=n, max_size=n))), eps
 
 
 @given(config_and_state())

@@ -42,6 +42,73 @@ METRICS_DIGESTS = [
 ]
 
 
+# the config file that ARTIFACT_DIGESTS' "--config model.cfg" command reads
+GOLDEN_CONFIG = "n = 4\nseekers = 0,2\nalpha = 0.4\ninit = 0.2,0.4,0.6,0.8\nmode = iid\n"
+
+# sha256 of every file a command writes to the default output directory
+# "out", and of its stdout, keyed by file name and "stdout"; a manifest is
+# hashed without its duration_seconds line. They pin each artifact's bytes,
+# the parsing of every list value and the text of every report.
+ARTIFACT_DIGESTS = [
+    (["simulate", "--seed", "3", "--horizon", "200", "--full-states"], {
+        "manifest.json": "fe631f0a63a6f512524b08e0730d02a5367fa19051350e0c67469353eb6af2ef",
+        "metrics.csv": "ceaf3e6dd248690e8203d52f48970752d3ddae4e89bcb27129027c55cf7f3436",
+        "states.csv": "9ce04b1c64e3bc8d9d7c2a9f3ff7c3706bcfd66ca4e77f5a4e14aa6e76e20535",
+        "stdout": "d37aff333dace1a75626a26b62f84977c7510762b6a7824c748030d159d800f7",
+    }),
+    (["simulate", "--mode", "noise-free", "--delta", "0", "--n", "5", "--m", "2",
+      "--alpha", "0.5,0.6,0.5,0.4,0.3", "--init", "0.1,0.3,0.5,0.7,0.9", "--horizon", "40"], {
+        "manifest.json": "44a7d05ebe4b509d1fae525c10d368deb59f9ede017fa159c6afebdedfd58d1c",
+        "metrics.csv": "704c9a99b9db507ef79bbed55623b79acb91280b0e2a190dd4cea845b66c3922",
+        "stdout": "415e5181d73e4a2a6be0b8ff2598def5db2ff7204bcc247c533760c6798b2f10",
+    }),
+    (["simulate", "--config", "model.cfg", "--horizon", "30"], {
+        "manifest.json": "5584f3c32a52dabbec5b79d8398987b7072443e94692b131b1eb42c4d39b1995",
+        "metrics.csv": "d02ccccf6613863719284f6001c7bdaaab454ddfda88fc6d0ee9fee6fb8289c4",
+        "stdout": "125e4d1ef7f77378271be630148a08e368c1c976cab181c49d058bb76e2642b8",
+    }),
+    (["ensemble", "--runs", "3", "--horizon", "300", "--seed", "2", "--per-run"], {
+        "manifest.json": "4b826c0bcfedd9854124e8b906f7a66265ee2829f1ea190ad3c08ba73c1a20dd",
+        "run_0000.csv": "0d364c9aa67b6c3d600c6e6bc444f18ccbf2685805ddd2b3b3bb2ba052958f75",
+        "run_0001.csv": "730fa8d73eac3aab8d67eb8c9f7ce3d017ecbc81f3d56390e36f7043b091e517",
+        "run_0002.csv": "1c3e82050200172a62e38b7b1d68c651d29871ca2452778451af156abb1a57d6",
+        "summary.json": "c8bae3559fb6e88421517f8687f73665b02a964770f9ad255d6b349b593ee3e2",
+        "stdout": "2a97e81ff419fb6c12d169800d3dc9801334fbed104f21b95505e38a8a169bd0",
+    }),
+    (["sweep", "--deltas", "0.01,0.02", "--ms", "5,10", "--epsilons", "0.2,0.3",
+      "--runs", "2", "--horizon", "100"], {
+        "manifest.json": "36b80eb356f8b828fc81f46125f92303920b5684b97106bf78d02ffe6a50e7ea",
+        "sweep.csv": "90e94944b7fcc7590d2d6d839cf08b212f17d9252d02bd9dc4e7b9d93cbd1245",
+        "stdout": "46b6cbca490edc7a1ad0ade0a930d6e137d628df94eecc0e33a5673c3020f54f",
+    }),
+    (["sweep", "--n", "4", "--seekers", "2,3", "--alphas", "0.3,0.6", "--runs", "2",
+      "--horizon", "100"], {
+        "manifest.json": "23d6812c6443a281d5f3e4093d27553983afefd7417a65e4a2afec89b1bead78",
+        "sweep.csv": "97733f1ea1136f83c304e30499b06fc5d1173424a06f4923203426daf67d1f54",
+        "stdout": "f8cc7beb1515342b323fbe33d2bce6f5439f30191a5f0a8a609c6fa427fa1860",
+    }),
+    (["bounds", "--delta", "0.02"], {
+        "stdout": "3193de7666955f099269006957dbaee6051ea75cb084b2a98515a5636a086aeb",
+    }),
+    (["bounds", "--n", "4", "--seekers", "1,3", "--delta", "0.01"], {
+        "stdout": "f16f957d1f3c7f711443b87eae1d0bab9aa14c7f4c62dea939257b10db9d82d0",
+    }),
+    (["verify", "--trials", "20", "--steps", "20", "--draws", "2000"], {
+        "stdout": "8e041a1230b832a1cb11b5d35f079d6c436b620e1763f6e8ef57483ec2d7438e",
+    }),
+    (["verify", "--delta", "0.03", "--trials", "20", "--steps", "20", "--draws", "2000"], {
+        "stdout": "3df5a701c9042bc9945c9ffbb0daaa175ae6e0f5b54baf78c759c86607b1b8d9",
+    }),
+]
+
+
+def artifact_digest(name, data):
+    if name == "manifest.json":
+        data = b"".join(line for line in data.splitlines(keepends=True)
+                        if b'"duration_seconds"' not in line)
+    return hashlib.sha256(data).hexdigest()
+
+
 class TestGoldenDigests:
     @pytest.mark.parametrize("mode,seed,digest", METRICS_DIGESTS)
     def test_metrics_csv_digest(self, tmp_path, capsys, mode, seed, digest):
@@ -49,6 +116,18 @@ class TestGoldenDigests:
         assert main(["simulate", "--mode", mode, "--seed", str(seed),
                      "--horizon", "2000", "--output", str(out)]) == 0
         assert hashlib.sha256((out / "metrics.csv").read_bytes()).hexdigest() == digest
+
+    @pytest.mark.parametrize("argv,digests", ARTIFACT_DIGESTS,
+                             ids=[" ".join(argv[:3]) for argv, _ in ARTIFACT_DIGESTS])
+    def test_artifact_digests(self, tmp_path, capsys, monkeypatch, argv, digests):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "model.cfg").write_text(GOLDEN_CONFIG)
+        assert main(argv) == 0
+        out = tmp_path / "out"
+        files = sorted(out.iterdir()) if out.exists() else []
+        actual = {path.name: artifact_digest(path.name, path.read_bytes()) for path in files}
+        actual["stdout"] = artifact_digest("stdout", capsys.readouterr().out.encode())
+        assert actual == digests
 
 
 class TestBoundsCommand:

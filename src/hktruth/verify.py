@@ -56,6 +56,10 @@ QUARTER_TOL = 0.005
 # can sit one ulp outside the real-arithmetic band. Anything beyond this
 # envelope is a genuine model violation (those scale with delta, not eps).
 ROUNDING_SLACK = 1e-14
+# absorption start states lie within this fraction of each precision bound
+IN_BAND_RADIUS = 0.999
+# draws sample_admissible_config makes before it gives up
+SAMPLE_TRIES = 200
 
 
 @dataclass(frozen=True)
@@ -89,7 +93,6 @@ def sample_admissible_config(
     n_max: int = 30,
     delta_frac: tuple[float, float] = (0.3, 0.99),
     min_delta: float = 0.0,
-    max_tries: int = 200,
 ) -> ModelConfig:
     """Random homogeneous-alpha config whose delta is strictly admissible.
 
@@ -97,7 +100,7 @@ def sample_admissible_config(
     rejects configs whose admissible range is too small to iterate in
     reasonable time (the steered walk needs about 2/delta steps).
     """
-    for _ in range(max_tries):
+    for _ in range(SAMPLE_TRIES):
         n = int(rng.integers(2, n_max + 1))
         m = int(rng.integers(1, n + 1))
         alpha = float(rng.uniform(0.05, 1.0))
@@ -113,11 +116,11 @@ def sample_admissible_config(
 
 
 def _in_band_state(
-    config: ModelConfig, bounds: NoiseBounds, rng: np.random.Generator, radius: float
+    config: ModelConfig, bounds: NoiseBounds, rng: np.random.Generator
 ) -> np.ndarray:
-    """Random profile inside the absorbing band, at most ``radius`` of each bound."""
+    """Random profile inside the absorbing band, at most IN_BAND_RADIUS of each bound."""
     per_agent = np.where(config.seeker_mask, bounds.delta1, bounds.delta2)
-    u = rng.uniform(-radius, radius, config.n)
+    u = rng.uniform(-IN_BAND_RADIUS, IN_BAND_RADIUS, config.n)
     return np.clip(config.truth + per_agent * u, 0.0, 1.0)
 
 
@@ -126,21 +129,20 @@ def absorption_margin(
     bounds: NoiseBounds,
     steps: int,
     rng: np.random.Generator,
-    radius: float = 0.999,
 ) -> float:
     """Worst in-band slack over ``steps`` adversarially noised steps.
 
     Noise components mix the exact extremes +delta and -delta with
-    uniform draws. Returns min over steps of the distance left inside
-    the band; negative means the band was violated.
+    ``draw_noise`` draws. Returns min over steps of the distance left
+    inside the band; negative means the band was violated.
     """
-    x = _in_band_state(config, bounds, rng, radius)
+    x = _in_band_state(config, bounds, rng)
     if not in_absorbing_band(x, config, bounds):
         raise AssertionError("sampled start state must satisfy the band condition")
     delta = config.delta
     kinds = rng.integers(0, 3, size=(steps, config.n))
-    uniforms = rng.random((steps, config.n))
-    xi = np.where(kinds == 0, delta, np.where(kinds == 1, -delta, delta * (2.0 * uniforms - 1.0)))
+    uniform = draw_noise(rng, (steps, config.n), delta)
+    xi = np.where(kinds == 0, delta, np.where(kinds == 1, -delta, uniform))
     # the noise block is checked once here, so the loop steps a bare vector
     xi = dyn._check_noise(xi, config, (steps, config.n))
     xs = np.empty((steps, config.n))

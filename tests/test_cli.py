@@ -4,6 +4,7 @@ import dataclasses
 import hashlib
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -12,10 +13,12 @@ import numpy as np
 import pytest
 
 import hktruth.dynamics
-from hktruth.cli import main
+from hktruth.cli import SETTINGS, main
 from hktruth.dynamics import ModelConfig
 from hktruth.harness import RunSpec, run_trajectory
 
+MODEL_KEYS = ("n", "epsilon", "truth", "alpha", "delta", "m", "seekers")
+RUN_KEYS = (*MODEL_KEYS, "mode", "horizon", "tail_window", "seed", "init", "output")
 REF_ARGS = ["--n", "20", "--epsilon", "0.2", "--truth", "0.8", "--alpha", "0.5", "--m", "10"]
 
 
@@ -392,6 +395,14 @@ class TestSweepCommand:
         manifest = read_manifest(out / "manifest.json")
         assert manifest["config"]["seekers"] == [2, 3]
 
+    def test_axis_overrides_an_invalid_base_value(self, tmp_path, capsys):
+        # every grid point takes epsilon from --epsilons, so the base 1.5 is never used
+        out = tmp_path / "eps"
+        assert main(["sweep", "--epsilon", "1.5", "--epsilons", "0.2,0.3", "--runs", "1",
+                     "--horizon", "5", "--tail-window", "1", "--output", str(out)]) == 0
+        rows = (out / "sweep.csv").read_text().splitlines()[1:]
+        assert [row.split(",")[3] for row in rows] == ["0.2", "0.3"]
+
     def test_ms_with_explicit_seekers_rejected(self, tmp_path, capsys):
         cfg = tmp_path / "seekers.cfg"
         cfg.write_text("seekers = 2,3\n")
@@ -451,6 +462,8 @@ class TestConfigFile:
         ("runs = -3", "--runs must be >= 1"),
         ("runs = 0", "--runs must be >= 1"),
         ("seed = -1", "--seed must be >= 0"),
+        ("init = 0.1,zz", "config key init expects comma-separated numbers"),
+        ("seekers = 1,x", "config key seekers expects comma-separated integers"),
     ])
     def test_bad_value_fails_every_command(self, tmp_path, capsys, command, line, message):
         # a command that does not use a key still rejects a bad value for it
@@ -474,6 +487,50 @@ class TestCliMisc:
 
     def test_unknown_flag_is_usage_error(self, capsys):
         assert main(["bounds", "--frobnicate"]) == 1
+
+    @pytest.mark.parametrize("argv,flag,noun", [
+        (["bounds", "--seekers", "1,x"], "--seekers", "integers"),
+        (["bounds", "--n", "4", "--alpha", "0.5,a"], "--alpha", "numbers"),
+        (["simulate", "--init", "0.1,zz"], "--init", "numbers"),
+        (["sweep", "--ms", "1,x"], "--ms", "integers"),
+        (["sweep", "--deltas", "0.01,q"], "--deltas", "numbers"),
+    ])
+    def test_malformed_list_flag_names_the_flag(self, tmp_path, capsys, monkeypatch, argv,
+                                                flag, noun):
+        monkeypatch.chdir(tmp_path)
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert f"argument {flag}: expects comma-separated {noun}, got " in err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command,keys,extra", [
+        ("bounds", MODEL_KEYS, ()),
+        ("simulate", RUN_KEYS, ("--full-states",)),
+        ("ensemble", (*RUN_KEYS, "runs"), ("--per-run",)),
+        ("verify", (*MODEL_KEYS, "seed"), ("--trials", "--steps", "--draws")),
+        ("sweep", (*RUN_KEYS, "runs"), ("--deltas", "--alphas", "--ms", "--epsilons")),
+    ])
+    def test_help_lists_every_setting_with_its_default(self, capsys, monkeypatch, command,
+                                                       keys, extra):
+        monkeypatch.setenv("COLUMNS", "1000")  # so no help text is wrapped
+        with pytest.raises(SystemExit) as exit_info:
+            main([command, "--help"])
+        assert exit_info.value.code == 0
+        # one entry per option: "--flag METAVAR help", whitespace collapsed
+        entries = [" ".join(entry.split())
+                   for entry in re.split(r"\n(?=  -)", capsys.readouterr().out)]
+        for key in keys:
+            parse, default, about = SETTINGS[key]
+            flag = "--" + key.replace("_", "-")
+            entry = next(entry for entry in entries if entry.startswith(flag + " "))
+            if default is None:
+                assert entry.endswith(about)
+            else:
+                # the default is a parsed value, shown as its text
+                assert parse(str(default)) == default
+                assert entry.endswith(f"{about} (default {default})")
+        for flag in extra:
+            assert any(entry.startswith(flag + " ") for entry in entries)
 
     def test_mode_alias_iid_maps_to_iid_noise(self, tmp_path, capsys):
         # both spellings are accepted, as a flag and as a config-file value

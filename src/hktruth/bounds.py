@@ -29,7 +29,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .dynamics import ModelConfig, subset_deviations, validate_state
+from .dynamics import ModelConfig, _check_delta, subset_deviations, validate_state
 
 __all__ = [
     "NoiseBounds",
@@ -71,8 +71,7 @@ def compute_bounds(n: int, m: int, alpha: float, epsilon: float, delta: float) -
         raise ValueError(f"attraction strength alpha must lie in (0, 1], got {alpha!r}")
     if not 0.0 < epsilon <= 1.0:
         raise ValueError(f"confidence threshold epsilon must lie in (0, 1], got {epsilon!r}")
-    if delta < 0.0:
-        raise ValueError(f"noise strength delta must be >= 0, got {delta!r}")
+    _check_delta(delta)
     delta1 = n * (1.0 - alpha) * delta / (m * alpha) + delta
     delta2 = n * delta / (m * alpha) + delta
     delta_lower = min(

@@ -76,6 +76,12 @@ def _init(text: str) -> str | list[float]:
     return text if text == "uniform-random" else _comma_list(text)
 
 
+def _mode(text: str) -> str:
+    if text not in _MODE_NAMES:
+        raise argparse.ArgumentTypeError(f"expects one of {', '.join(_MODE_NAMES)}, got {text!r}")
+    return _MODE_NAMES[text]
+
+
 # key -> (parser, default, help). The key is the config-file key and, with
 # "_" written "-", the flag. A None default means unset: tail_window then
 # follows the horizon, and without seekers the seekers are agents 0..m-1.
@@ -87,7 +93,7 @@ SETTINGS: dict[str, tuple[Callable[[str], Any], Any, str]] = {
     "delta": (float, 0.02, "noise strength >= 0"),
     "m": (int, 10, "seeker count; seekers are agents 0..m-1"),
     "seekers": (_ints, None, "explicit comma list of seeker indices (overrides --m)"),
-    "mode": (str, "iid", "dynamics mode"),
+    "mode": (_mode, MODE_IID, f"dynamics mode: {', '.join(MODES)}, or iid for {MODE_IID}"),
     "horizon": (int, 1000, "steps per run"),
     "tail_window": (int, None, "trailing steps for the tail supremum (default horizon/10)"),
     "seed": (int, 0, "RNG seed: the first run's seed, or the suite seed of verify"),
@@ -152,7 +158,6 @@ def build_parser() -> _Parser:
             kind, default, about = SETTINGS[key]
             p.add_argument(
                 "--" + key.replace("_", "-"), dest=key, type=kind,
-                choices=_MODE_NAMES if key == "mode" else None,
                 help=about if default is None else f"{about} (default {default})",
             )
         return p
@@ -190,9 +195,6 @@ def _resolve(args: argparse.Namespace) -> dict[str, Any]:
     settings = {**defaults, **file_values, **flags}
     settings.setdefault("tail_window", max(1, settings["horizon"] // 10))
     # checked here, so a bad value in a shared config file fails every command
-    if settings["mode"] not in _MODE_NAMES:
-        raise ValueError(f"mode must be one of {sorted(_MODE_NAMES)}, got {settings['mode']!r}")
-    settings["mode"] = _MODE_NAMES[settings["mode"]]
     for key, floor in (("runs", 1), ("seed", 0), ("trials", 1), ("steps", 1), ("draws", 1)):
         value = settings.get(key, getattr(args, key, floor))  # trials etc. are verify flags
         if value < floor:
@@ -241,57 +243,56 @@ def _bounds_dict(nb: NoiseBounds | None, delta: float) -> dict[str, Any] | None:
     return {**dataclasses.asdict(nb), "admissible": is_admissible(delta, nb)}
 
 
-def _config_dict(config: ModelConfig) -> dict[str, Any]:
-    homog = config.homogeneous_alpha()
-    return {
-        "n": config.n,
-        "epsilon": config.epsilon,
-        "truth": config.truth,
-        "alpha": homog if homog is not None else list(config.alpha),
-        "seekers": sorted(config.seekers),
-        "delta": config.delta,
-    }
+class _Output:
+    """A command's output directory, the files written to it and its clock.
 
+    The directory is made at the first write, so a command that fails
+    before writing leaves none. The manifest lists every file written and
+    the seconds since the writer was made, just before the runs: so they
+    cover the runs and every file written before the manifest.
+    """
 
-def _write_json(path: Path, payload: dict[str, Any]) -> None:
-    path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    def __init__(self, settings: dict[str, Any]) -> None:
+        self.dir, self.names, self.started = Path(settings["output"]), [], time.perf_counter()
 
+    def write(self, name: str, text: str) -> None:
+        if not self.names:
+            self.dir.mkdir(parents=True, exist_ok=True)
+        (self.dir / name).write_text(text)
+        self.names.append(name)
 
-def _write_csv(path: Path, header: str, rows: Iterable[str]) -> None:
-    path.write_text("\n".join([header, *rows]) + "\n")
+    def json(self, name: str, payload: dict[str, Any]) -> None:
+        self.write(name, json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
+    def csv(self, name: str, header: str, rows: Iterable[str]) -> None:
+        self.write(name, "\n".join([header, *rows]) + "\n")
 
-def _step_rows(table: np.ndarray) -> Iterator[str]:
-    """CSV rows "t,v_0,v_1,..." of a (steps, columns) table, with t from 0."""
-    for t, row in enumerate(table.tolist()):
-        yield f"{t}," + ",".join(_fmt(v) for v in row)
+    def steps(self, name: str, columns: Iterable[str], table: np.ndarray) -> None:
+        """A CSV of a (steps, columns) table: "t,<columns>", then a row per step from t = 0."""
+        rows = (f"{t}," + ",".join(map(_fmt, row)) for t, row in enumerate(table.tolist()))
+        self.csv(name, ",".join(["t", *columns]), rows)
 
+    def metrics(self, name: str, record: TrajectoryRecord) -> None:
+        self.steps(name, ("d_V", "d_S", "d_Sbar"),
+                   np.column_stack([record.d_v, record.d_s, record.d_sbar]))
 
-def _write_metrics_csv(path: Path, record: TrajectoryRecord) -> None:
-    table = np.column_stack([record.d_v, record.d_s, record.d_sbar])
-    _write_csv(path, "t,d_V,d_S,d_Sbar", _step_rows(table))
-
-
-def _write_manifest(outdir: Path, command: str, spec: RunSpec, nb: NoiseBounds | None,
-                    outputs: list[str], duration: float, **run_info: Any) -> None:
-    """Write manifest.json: the config and run parameters of ``spec``, plus ``run_info``."""
-    _write_json(outdir / "manifest.json", {
-        "tool": "hktruth",
-        "version": __version__,
-        "command": command,
-        "config": _config_dict(spec.config),
-        "run": {"mode": spec.mode, "horizon": spec.horizon, "tail_window": spec.tail_window,
-                "initial": spec.initial, **run_info},
-        "bounds": _bounds_dict(nb, spec.config.delta),
-        "outputs": sorted([*outputs, "manifest.json"]),
-        "duration_seconds": duration,
-    })
-
-
-def _ensure_outdir(settings: dict[str, Any]) -> Path:
-    outdir = Path(settings["output"])
-    outdir.mkdir(parents=True, exist_ok=True)
-    return outdir
+    def manifest(self, command: str, spec: RunSpec, nb: NoiseBounds | None,
+                 **run_info: Any) -> None:
+        """Write manifest.json: the config and run parameters of ``spec``, plus ``run_info``."""
+        config, alpha = spec.config, spec.config.homogeneous_alpha()
+        self.json("manifest.json", {
+            "tool": "hktruth",
+            "version": __version__,
+            "command": command,
+            "config": {"n": config.n, "epsilon": config.epsilon, "truth": config.truth,
+                       "alpha": list(config.alpha) if alpha is None else alpha,
+                       "seekers": sorted(config.seekers), "delta": config.delta},
+            "run": {"mode": spec.mode, "horizon": spec.horizon, "tail_window": spec.tail_window,
+                    "initial": spec.initial, **run_info},
+            "bounds": _bounds_dict(nb, config.delta),
+            "outputs": sorted([*self.names, "manifest.json"]),
+            "duration_seconds": time.perf_counter() - self.started,
+        })
 
 
 def cmd_bounds(settings: dict[str, Any], args: argparse.Namespace) -> int:
@@ -310,22 +311,16 @@ def cmd_bounds(settings: dict[str, Any], args: argparse.Namespace) -> int:
 
 def cmd_simulate(settings: dict[str, Any], args: argparse.Namespace) -> int:
     spec = build_run_spec(settings, record_states=args.full_states)
-    started = time.perf_counter()
+    out = _Output(settings)
     record = run_trajectory(spec)
-    duration = time.perf_counter() - started
-
-    outdir = _ensure_outdir(settings)
-    outputs = ["metrics.csv"]
-    _write_metrics_csv(outdir / "metrics.csv", record)
+    out.metrics("metrics.csv", record)
     if args.full_states:
-        header = "t," + ",".join(f"x_{i}" for i in range(spec.config.n))
-        _write_csv(outdir / "states.csv", header, _step_rows(record.states))
-        outputs.append("states.csv")
-    _write_manifest(outdir, "simulate", spec, record.bounds, outputs, duration, seed=spec.seed,
-                    entry_time=record.entry_time, tail_sup=record.tail_sup)
+        out.steps("states.csv", (f"x_{i}" for i in range(spec.config.n)), record.states)
+    out.manifest("simulate", spec, record.bounds, seed=spec.seed,
+                 entry_time=record.entry_time, tail_sup=record.tail_sup)
     print(
         f"simulate: mode={spec.mode} seed={spec.seed} horizon={spec.horizon} "
-        f"tail_sup={_fmt(record.tail_sup)} entry_time={record.entry_time} -> {outdir}"
+        f"tail_sup={_fmt(record.tail_sup)} entry_time={record.entry_time} -> {out.dir}"
     )
     return EXIT_OK
 
@@ -333,22 +328,16 @@ def cmd_simulate(settings: dict[str, Any], args: argparse.Namespace) -> int:
 def cmd_ensemble(settings: dict[str, Any], args: argparse.Namespace) -> int:
     spec = build_run_spec(settings)
     seeds = _seeds(settings)
-
-    outdir = _ensure_outdir(settings)
-    outputs: list[str] = ["summary.json"]
-    started = time.perf_counter()
+    out = _Output(settings)
 
     def records() -> Iterator[TrajectoryRecord]:
         for index, record in enumerate(iter_ensemble(spec, seeds)):
             if args.per_run:
-                outputs.append(f"run_{index:04d}.csv")
-                _write_metrics_csv(outdir / outputs[-1], record)
+                out.metrics(f"run_{index:04d}.csv", record)
             yield record
 
     summary = summarize(records())
-    duration = time.perf_counter() - started
-
-    _write_json(outdir / "summary.json", {
+    out.json("summary.json", {
         "runs": summary.runs,
         "seed_base": seeds.start,
         "converged_fraction": summary.converged_fraction,
@@ -358,13 +347,12 @@ def cmd_ensemble(settings: dict[str, Any], args: argparse.Namespace) -> int:
                        "median": summary.entry_time_median, "max": summary.entry_time_max},
         "bounds": _bounds_dict(summary.bounds, spec.config.delta),
     })
-    _write_manifest(outdir, "ensemble", spec, summary.bounds, outputs, duration,
-                    seed_base=seeds.start, runs=len(seeds))
+    out.manifest("ensemble", spec, summary.bounds, seed_base=seeds.start, runs=len(seeds))
     frac = summary.converged_fraction
     print(
         f"ensemble: runs={len(seeds)} seed_base={seeds.start} "
         f"converged_fraction={'n/a' if frac is None else _fmt(frac)} "
-        f"tail_sup_max={_fmt(summary.tail_sup_max)} -> {outdir}"
+        f"tail_sup_max={_fmt(summary.tail_sup_max)} -> {out.dir}"
     )
     return EXIT_OK
 
@@ -396,30 +384,28 @@ def cmd_sweep(settings: dict[str, Any], args: argparse.Namespace) -> int:
     if not all(grid.values()):
         raise ValueError("sweep grid is empty")
     seeds = _seeds(settings)
+    out = _Output(settings)
 
     rows = []
-    specs = []
-    started = time.perf_counter()
     for delta, alpha, m, epsilon in itertools.product(*grid.values()):
-        specs.append(build_run_spec(dict(settings, delta=delta, alpha=alpha, m=m, epsilon=epsilon)))
+        spec = build_run_spec(dict(settings, delta=delta, alpha=alpha, m=m, epsilon=epsilon))
         try:
-            nb = bounds_for_config(specs[-1].config)
+            nb = bounds_for_config(spec.config)
         except ValueError as exc:
             raise ValueError(f"grid point (delta={delta}, alpha={alpha}, m={m}, "
                              f"epsilon={epsilon}) is invalid: {exc}") from exc
-        summary = summarize(iter_ensemble(specs[-1], seeds))
+        if not rows:  # the manifest records the first grid point
+            first = (spec, nb)
+        summary = summarize(iter_ensemble(spec, seeds))
         fields = (delta, alpha, m, epsilon, nb.delta1, nb.delta2, nb.delta_bar, nb.delta_lower)
         rows.append(",".join([*map(_fmt, fields), str(is_admissible(delta, nb)).lower(),
                               _fmt(summary.converged_fraction), _fmt(summary.tail_sup_median)]))
-    duration = time.perf_counter() - started
 
-    outdir = _ensure_outdir(settings)
     header = ("delta,alpha,m,epsilon,delta1,delta2,delta_bar,delta_lower,admissible,"
               "converged_fraction,median_tail_sup")
-    _write_csv(outdir / "sweep.csv", header, rows)
-    _write_manifest(outdir, "sweep", specs[0], bounds_for_config(specs[0].config), ["sweep.csv"],
-                    duration, seed_base=seeds.start, runs=len(seeds), grid=grid)
-    print(f"sweep: {len(rows)} grid points, runs={len(seeds)} each -> {outdir / 'sweep.csv'}")
+    out.csv("sweep.csv", header, rows)
+    out.manifest("sweep", *first, seed_base=seeds.start, runs=len(seeds), grid=grid)
+    print(f"sweep: {len(rows)} grid points, runs={len(seeds)} each -> {out.dir / 'sweep.csv'}")
     return EXIT_OK
 
 

@@ -82,8 +82,7 @@ class ModelConfig:
             raise ValueError(f"confidence threshold epsilon must lie in (0, 1], got {epsilon!r}")
         if not 0.0 <= truth <= 1.0:
             raise ValueError(f"truth value must lie in [0, 1], got {truth!r}")
-        if not (np.isfinite(delta) and delta >= 0.0):
-            raise ValueError(f"noise strength delta must be finite and >= 0, got {delta!r}")
+        _check_delta(delta)
         if isinstance(alpha, (int, float, np.floating, np.integer)):
             alpha_t = (float(alpha),) * int(n)
         else:
@@ -145,6 +144,12 @@ def validate_state(x: np.ndarray | Sequence[float], config: ModelConfig) -> np.n
     return arr
 
 
+def _check_delta(delta: float) -> None:
+    """Reject a noise strength ``delta`` that is not finite and >= 0 (NaN included)."""
+    if not 0.0 <= delta < np.inf:
+        raise ValueError(f"noise strength delta must be finite and >= 0, got {delta!r}")
+
+
 def _check_noise(
     noise: np.ndarray | Sequence[float], config: ModelConfig, shape: tuple[int, ...]
 ) -> np.ndarray:
@@ -199,6 +204,9 @@ def _windows(s: np.ndarray, epsilon: float) -> tuple[np.ndarray, np.ndarray]:
     """
     rows, n = s.shape
     low, width = s[:, 0].min(), s[:, -1].max() - s[:, 0].min()
+    # no |fl(s_j - s_i)| exceeds the width, so this cap keeps every window,
+    # and keeps 2*epsilon finite for an epsilon near the float maximum
+    epsilon = min(epsilon, width)
     span = width + 2.0 * epsilon + 1.0
     keys = ((s - low) + span * np.arange(rows)[:, None]).ravel()
     tol = 2.0**-48 * span * rows
@@ -249,8 +257,11 @@ def neighbor_means(x: np.ndarray, epsilon: float) -> np.ndarray:
     Up to ``_DENSE_MAX_N`` agents the sum over it is a dense masked
     product; above, it comes from prefix sums over the sorted row
     (``_window_means``), which needs no pairwise arrays. The two sums
-    differ by O(n * 2^-52); the windows are the same.
+    differ by O(n * 2^-52); the windows are the same. ``epsilon`` must be
+    > 0; inf makes every agent a neighbour of every other.
     """
+    if not epsilon > 0.0:
+        raise ValueError(f"confidence threshold epsilon must be > 0, got {epsilon!r}")
     n = x.shape[-1]
     if n > _DENSE_MAX_N:
         return _window_means(x, epsilon)

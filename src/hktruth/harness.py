@@ -141,8 +141,7 @@ def draw_noise(
     ``n`` may be a shape, and ``out`` an array of that shape to draw into.
     The rows of a ``(k, n)`` draw are the values of k successive draws of n.
     """
-    if delta < 0.0:
-        raise ValueError(f"noise strength delta must be >= 0, got {delta!r}")
+    dyn._check_delta(delta)
     u = rng.random(n, out=out)
     return np.multiply(delta, 2.0 * u - 1.0, out=u)
 

@@ -75,6 +75,8 @@ class TestComputeBounds:
             dict(n=5, m=2, alpha=0.5, epsilon=0.0, delta=0.0),
             dict(n=5, m=2, alpha=0.5, epsilon=1.1, delta=0.0),
             dict(n=5, m=2, alpha=0.5, epsilon=0.2, delta=-0.1),
+            dict(n=5, m=2, alpha=0.5, epsilon=0.2, delta=float("nan")),
+            dict(n=5, m=2, alpha=0.5, epsilon=0.2, delta=float("inf")),
         ],
     )
     def test_domain_errors(self, kwargs):

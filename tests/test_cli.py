@@ -458,7 +458,8 @@ class TestConfigFile:
 
     @pytest.mark.parametrize("command", ["bounds", "verify"])
     @pytest.mark.parametrize("line,message", [
-        ("mode = bogus", "mode must be one of"),
+        pytest.param("mode = bogus", "config key mode expects one of noise-free, iid-noise, steered, iid",
+                     id="mode = bogus"),
         ("runs = -3", "--runs must be >= 1"),
         ("runs = 0", "--runs must be >= 1"),
         ("seed = -1", "--seed must be >= 0"),
@@ -471,6 +472,52 @@ class TestConfigFile:
         cfg.write_text(line + "\n")
         assert main([command, "--config", str(cfg)]) == 1
         assert f"hktruth: error: {message}" in capsys.readouterr().err
+
+
+class TestOutputs:
+    # one writer owns each command's directory, file list, clock and manifest
+    @pytest.mark.parametrize("argv", [
+        ["simulate", "--horizon", "20", "--full-states"],
+        ["ensemble", "--runs", "3", "--horizon", "20", "--per-run"],
+        ["sweep", "--deltas", "0.01,0.02", "--runs", "2", "--horizon", "20"],
+    ], ids=lambda argv: argv[0])
+    def test_manifest_lists_the_files_on_disk(self, tmp_path, capsys, argv):
+        out = tmp_path / "out"
+        assert main([*argv, "--tail-window", "2", "--output", str(out)]) == 0
+        manifest = read_manifest(out / "manifest.json", drop_duration=False)
+        assert manifest["outputs"] == sorted(path.name for path in out.iterdir())
+        duration = manifest["duration_seconds"]
+        assert isinstance(duration, float) and duration >= 0.0
+
+    def test_sweep_failing_at_a_later_grid_point_writes_nothing(self, tmp_path, capsys):
+        # m = 5 runs; m = 30 > n then fails before any file is written
+        out = tmp_path / "out"
+        assert main(["sweep", "--n", "20", "--ms", "5,30", "--runs", "1", "--horizon", "5",
+                     "--tail-window", "1", "--output", str(out)]) == 1
+        assert "0 <= m <= n" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_bad_mode_gets_one_message_from_flag_and_file(self, tmp_path, capsys):
+        cfg = tmp_path / "bogus.cfg"
+        cfg.write_text("mode = bogus\n")
+        errors = []
+        for source in (["--mode", "bogus"], ["--config", str(cfg)]):
+            out = tmp_path / source[0][2:]
+            assert main(["simulate", *source, "--horizon", "5", "--output", str(out)]) == 1
+            errors.append(capsys.readouterr().err)
+            assert not out.exists()
+        message = "expects one of noise-free, iid-noise, steered, iid, got 'bogus'\n"
+        assert errors[0] == f"hktruth: error: hktruth simulate: argument --mode: {message}"
+        assert errors[1] == f"hktruth: error: config key mode {message}"
+
+    def test_help_lists_every_mode_spelling(self, capsys, monkeypatch):
+        monkeypatch.setenv("COLUMNS", "1000")  # so no help text is wrapped
+        with pytest.raises(SystemExit):
+            main(["simulate", "--help"])
+        entry = next(line for line in capsys.readouterr().out.splitlines()
+                     if line.strip().startswith("--mode "))
+        words = set(re.findall(r"[a-z]+(?:-[a-z]+)*", entry.split("MODE", 1)[1]))
+        assert {"noise-free", "iid-noise", "steered", "iid"} <= words
 
 
 class TestCliMisc:

@@ -188,6 +188,32 @@ class TestNeighborMeans:
             for row, got in zip(batch[1:], together[1:]):
                 np.testing.assert_array_equal(got, neighbor_means(row, eps))
 
+    @pytest.mark.parametrize("n", [20, 200])
+    @pytest.mark.parametrize("eps", [0.0, -0.1, float("nan"), -float("inf")])
+    def test_non_positive_or_nan_epsilon_rejected(self, n, eps):
+        x = np.random.Generator(np.random.PCG64(n)).random(n)
+        with pytest.raises(ValueError, match="epsilon must be > 0"):
+            neighbor_means(x, eps)
+
+    @pytest.mark.parametrize("eps", [float("inf"), 1e308])
+    def test_huge_epsilon_windows_match_the_dense_mask(self, eps):
+        # every agent is a neighbour: the windows are whole rows, as in the mask
+        n = 200
+        rng = np.random.Generator(np.random.PCG64(3))
+        x = rng.random(n)
+        mask = np.abs(x[None, :] - x[:, None]) <= eps
+        order = np.argsort(x)
+        s = x[order]
+        lo, hi = _windows(s[None, :], eps)
+        np.testing.assert_array_equal(hi - lo, mask[order].sum(axis=1))
+        np.testing.assert_array_equal(s[lo], np.where(mask, x, np.inf).min(axis=1)[order])
+        np.testing.assert_array_equal(s[hi - 1], np.where(mask, x, -np.inf).max(axis=1)[order])
+        means = neighbor_means(x, eps)
+        assert np.max(np.abs(means - dense_neighbor_means(x, eps))) <= 4 * n * 2.0**-52
+        assert np.max(np.abs(means - x.mean())) <= 4 * n * 2.0**-52
+        together = neighbor_means(np.stack([x, rng.permutation(x)]), eps)
+        np.testing.assert_array_equal(together[0], means)
+
 
 class TestStepNoiseFree:
     def test_two_agent_hand_example(self):

@@ -90,6 +90,12 @@ class TestDrawNoise:
         with pytest.raises(ValueError):
             draw_noise(rng, 3, -0.1)
 
+    @pytest.mark.parametrize("delta", [float("nan"), float("inf")])
+    def test_non_finite_delta_rejected(self, delta):
+        rng = np.random.Generator(np.random.PCG64(0))
+        with pytest.raises(ValueError, match="must be finite and >= 0"):
+            draw_noise(rng, 3, delta)
+
 
 class TestRunSpecValidation:
     def test_zero_horizon_rejected(self):

@@ -76,7 +76,7 @@ class ModelConfig:
         seekers: Iterable[int],
         delta: float,
     ) -> None:
-        if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 1:
+        if not _is_int(n) or n < 1:
             raise ValueError(f"agent count n must be a positive integer, got {n!r}")
         if not 0.0 < epsilon <= 1.0:
             raise ValueError(f"confidence threshold epsilon must lie in (0, 1], got {epsilon!r}")
@@ -130,6 +130,11 @@ class ModelConfig:
         if all(a == first for a in self.alpha):
             return first
         return None
+
+
+def _is_int(value: object) -> bool:
+    """An int or NumPy integer, but not a bool."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
 def validate_state(x: np.ndarray | Sequence[float], config: ModelConfig) -> np.ndarray:

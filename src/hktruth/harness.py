@@ -77,13 +77,14 @@ class RunSpec:
     def __post_init__(self) -> None:
         if self.mode not in MODES:
             raise ValueError(f"mode must be one of {MODES}, got {self.mode!r}")
-        if self.horizon < 1:
+        if not dyn._is_int(self.horizon) or self.horizon < 1:
             raise ValueError(f"horizon must be a positive integer, got {self.horizon!r}")
-        if not 1 <= self.tail_window <= self.horizon:
+        if not dyn._is_int(self.tail_window) or not 1 <= self.tail_window <= self.horizon:
             raise ValueError(
-                f"tail_window must lie in [1, horizon={self.horizon}], got {self.tail_window!r}"
+                f"tail_window must be an integer in [1, horizon={self.horizon}], "
+                f"got {self.tail_window!r}"
             )
-        if self.seed < 0:
+        if not dyn._is_int(self.seed) or self.seed < 0:
             raise ValueError(f"seed must be a non-negative integer, got {self.seed!r}")
         if self.mode == MODE_STEERED and self.config.delta <= 0.0:
             raise ValueError("steered mode requires delta > 0")
@@ -215,8 +216,9 @@ def iter_ensemble(spec: RunSpec, seeds: Sequence[int]) -> Iterator[TrajectoryRec
     """Yield the record of ``spec`` run with each seed, in the order given."""
     if len(seeds) < 1:
         raise ValueError("an ensemble needs at least one seed")
-    if min(seeds) < 0:
-        raise ValueError(f"seeds must be non-negative integers, got {min(seeds)!r}")
+    bad = [seed for seed in seeds if not dyn._is_int(seed) or seed < 0]
+    if bad:
+        raise ValueError(f"seeds must be non-negative integers, got {bad[0]!r}")
     n = spec.config.n
     cells = n**2 if n <= dyn._DENSE_MAX_N else _NOISE_BLOCK * n
     cap = max(1, min(_BATCH_RUNS, _BATCH_CELLS // cells))

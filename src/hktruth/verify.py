@@ -7,8 +7,8 @@ would have been violated; negative means violated). Suites whose
 hypothesis the supplied config does not meet are skipped with a note,
 never failed.
 
-The same primitives back the package's acceptance tests, which run them
-at the trial counts and tolerances the project promises.
+The suites and their primitives back the package's acceptance tests,
+which run them at the trial counts and tolerances the project promises.
 """
 
 from __future__ import annotations
@@ -35,11 +35,9 @@ from .harness import draw_noise
 
 __all__ = [
     "SuiteResult",
-    "sample_bound_params",
     "sample_admissible_config",
     "absorption_margin",
     "steered_walk",
-    "quarter_band_frequencies",
     "check_running_average_monotonicity",
     "check_quarter_bands",
     "check_range_preservation",
@@ -79,13 +77,8 @@ def _rng(seed: int, lane: int) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(seed + lane))
 
 
-def sample_bound_params(rng: np.random.Generator, n_max: int = 50) -> tuple[int, int, float, float]:
-    """Random (n, m, alpha, epsilon) valid for the bound formulas."""
-    n = int(rng.integers(1, n_max + 1))
-    m = int(rng.integers(1, n + 1))
-    alpha = float(1.0 - rng.random())  # (0, 1]
-    epsilon = float(1.0 - rng.random())  # (0, 1]
-    return n, m, alpha, epsilon
+def _judged(name: str, ok: bool, trials: int, margin: float, note: str = "") -> SuiteResult:
+    return SuiteResult(name, "pass" if ok else "fail", trials, margin, note)
 
 
 def sample_admissible_config(
@@ -115,15 +108,6 @@ def sample_admissible_config(
     raise RuntimeError("could not sample an admissible config; widen the parameter ranges")
 
 
-def _in_band_state(
-    config: ModelConfig, bounds: NoiseBounds, rng: np.random.Generator
-) -> np.ndarray:
-    """Random profile inside the absorbing band, at most IN_BAND_RADIUS of each bound."""
-    per_agent = np.where(config.seeker_mask, bounds.delta1, bounds.delta2)
-    u = rng.uniform(-IN_BAND_RADIUS, IN_BAND_RADIUS, config.n)
-    return np.clip(config.truth + per_agent * u, 0.0, 1.0)
-
-
 def absorption_margin(
     config: ModelConfig,
     bounds: NoiseBounds,
@@ -132,11 +116,14 @@ def absorption_margin(
 ) -> float:
     """Worst in-band slack over ``steps`` adversarially noised steps.
 
-    Noise components mix the exact extremes +delta and -delta with
-    ``draw_noise`` draws. Returns min over steps of the distance left
-    inside the band; negative means the band was violated.
+    The start is a random profile inside the band, at most IN_BAND_RADIUS
+    of each bound. Noise components mix the exact extremes +delta and
+    -delta with ``draw_noise`` draws. Returns min over steps of the
+    distance left inside the band; negative means the band was violated.
     """
-    x = _in_band_state(config, bounds, rng)
+    per_agent = np.where(config.seeker_mask, bounds.delta1, bounds.delta2)
+    u = rng.uniform(-IN_BAND_RADIUS, IN_BAND_RADIUS, config.n)
+    x = np.clip(config.truth + per_agent * u, 0.0, 1.0)
     if not in_absorbing_band(x, config, bounds):
         raise AssertionError("sampled start state must satisfy the band condition")
     delta = config.delta
@@ -177,15 +164,6 @@ def steered_walk(
     return worst, d <= delta, L
 
 
-def quarter_band_frequencies(draws: int, delta: float, seed: int) -> tuple[float, float]:
-    """Empirical frequency of the upper and lower quarter bands of the noise."""
-    rng = _rng(seed, 0)
-    xi = draw_noise(rng, draws, delta)
-    upper = float(np.mean((xi >= delta / 2.0) & (xi <= delta)))
-    lower = float(np.mean((xi <= -delta / 2.0) & (xi >= -delta)))
-    return upper, lower
-
-
 def check_running_average_monotonicity(trials: int = 1000, seed: int = 0) -> SuiteResult:
     """Monotone inputs must give monotone running averages (1e-12 slack)."""
     rng = _rng(seed, 1)
@@ -199,8 +177,7 @@ def check_running_average_monotonicity(trials: int = 1000, seed: int = 0) -> Sui
         out = running_averages(seq, offset)
         if out.size > 1:
             worst = min(worst, float(np.min(direction * np.diff(out))) + DECREASE_TOL)
-    status = "pass" if worst >= 0.0 else "fail"
-    return SuiteResult("running-average-monotonicity", status, trials, worst)
+    return _judged("running-average-monotonicity", worst >= 0.0, trials, worst)
 
 
 def check_quarter_bands(
@@ -216,10 +193,11 @@ def check_quarter_bands(
             "noise-quarter-bands", "skip", 0, None, "delta = 0 has no quarter bands"
         )
     tol = QUARTER_TOL * math.sqrt(100_000 / draws)
-    upper, lower = quarter_band_frequencies(draws, delta, seed)
+    xi = draw_noise(_rng(seed, 0), draws, delta)
+    upper = float(np.mean((xi >= delta / 2.0) & (xi <= delta)))
+    lower = float(np.mean((xi <= -delta / 2.0) & (xi >= -delta)))
     margin = tol - max(abs(upper - 0.25), abs(lower - 0.25))
-    status = "pass" if margin >= 0.0 else "fail"
-    return SuiteResult("noise-quarter-bands", status, draws, margin)
+    return _judged("noise-quarter-bands", margin >= 0.0, draws, margin)
 
 
 def check_range_preservation(
@@ -233,21 +211,22 @@ def check_range_preservation(
         noisy = dyn.step(x, config, draw_noise(rng, config.n, config.delta))
         for out in (noisy, dyn.step(x, config)):
             worst = min(worst, float(np.min(out)), float(np.min(1.0 - out)))
-    status = "pass" if worst >= 0.0 else "fail"
-    return SuiteResult("range-preservation", status, trials, worst)
+    return _judged("range-preservation", worst >= 0.0, trials, worst)
 
 
 def check_bound_consistency(trials: int = 10_000, seed: int = 0) -> SuiteResult:
-    """At delta = delta_lower the two precision bounds must fit inside epsilon."""
+    """At delta = delta_lower the two precision bounds must fit inside epsilon (1e-12 slack)."""
     rng = _rng(seed, 3)
     worst = math.inf
     for _ in range(trials):
-        n, m, alpha, epsilon = sample_bound_params(rng)
+        n = int(rng.integers(1, 51))
+        m = int(rng.integers(1, n + 1))
+        alpha = float(1.0 - rng.random())  # (0, 1]
+        epsilon = float(1.0 - rng.random())  # (0, 1]
         nb0 = compute_bounds(n, m, alpha, epsilon, delta=0.0)
         nb = compute_bounds(n, m, alpha, epsilon, delta=nb0.delta_lower)
         worst = min(worst, epsilon + 1e-12 - (nb.delta1 + nb.delta2))
-    status = "pass" if worst >= 0.0 else "fail"
-    return SuiteResult("bound-consistency", status, trials, worst)
+    return _judged("bound-consistency", worst >= 0.0, trials, worst)
 
 
 def check_absorption(
@@ -272,8 +251,7 @@ def check_absorption(
     worst = math.inf
     for _ in range(trials):
         worst = min(worst, absorption_margin(config, nb, steps, rng))
-    status = "pass" if worst >= -ROUNDING_SLACK else "fail"
-    return SuiteResult(name, status, trials, worst)
+    return _judged(name, worst >= -ROUNDING_SLACK, trials, worst)
 
 
 def check_steered_contraction(
@@ -289,16 +267,12 @@ def check_steered_contraction(
     worst = math.inf
     failures = 0
     for _ in range(trials):
-        x0 = rng.random(config.n)
-        if float(np.max(np.abs(x0 - config.truth))) <= config.delta:
-            continue  # already at the target; nothing to contract
-        margin, entered, _ = steered_walk(config, x0)
+        margin, entered, _ = steered_walk(config, rng.random(config.n))
         worst = min(worst, margin + DECREASE_TOL)
         if not entered:
             failures += 1
-    status = "pass" if worst >= 0.0 and failures == 0 else "fail"
     note = f"{failures} walks missed the block-length budget" if failures else ""
-    return SuiteResult(name, status, trials, worst, note)
+    return _judged(name, worst >= 0.0 and failures == 0, trials, worst, note)
 
 
 def run_all(

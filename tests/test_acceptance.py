@@ -21,14 +21,13 @@ from hktruth.harness import (
     MODE_NOISE_FREE,
     RunSpec,
     iter_ensemble,
-    run_trajectory,
 )
 from hktruth.verify import (
     absorption_margin,
+    check_bound_consistency,
+    check_quarter_bands,
     check_running_average_monotonicity,
-    quarter_band_frequencies,
     sample_admissible_config,
-    sample_bound_params,
     steered_walk,
 )
 
@@ -56,16 +55,11 @@ def test_criterion_01_bound_arithmetic():
 
 
 def test_criterion_02_bound_consistency():
-    rng = np.random.Generator(np.random.PCG64(202))
-    worst = -np.inf
-    for _ in range(10_000):
-        n, m, alpha, epsilon = sample_bound_params(rng, n_max=50)
-        base = compute_bounds(n, m, alpha, epsilon, delta=0.0)
-        nb = compute_bounds(n, m, alpha, epsilon, delta=base.delta_lower)
-        worst = max(worst, nb.delta1 + nb.delta2 - epsilon)
-    ok = worst <= 1e-12
+    # lane 3 of suite seed 199 is the PCG64(202) stream
+    res = check_bound_consistency(trials=10_000, seed=199)
+    ok = res.status == "pass"
     assert report(2, "delta1 + delta2 <= epsilon at delta = delta_lower",
-                  ok, f"worst overshoot {worst:.3e} over 10^4 random configs (tol 1e-12)")
+                  ok, f"worst slack {res.margin:.3e} over 10^4 random configs (tol 1e-12)")
 
 
 def test_criterion_03_absorption():
@@ -127,22 +121,18 @@ def test_criterion_05_reference_monte_carlo():
 def test_criterion_06_noise_free_failure_contrast():
     config = ModelConfig(n=20, epsilon=0.2, truth=0.8, alpha=0.5, seekers=range(10), delta=0.0)
     spec = RunSpec(config=config, horizon=600, mode=MODE_NOISE_FREE, tail_window=1)
-    stuck = 0
-    for seed in range(100):
-        rec = run_trajectory(dataclasses.replace(spec, seed=seed))
-        if rec.d_sbar[-1] > config.epsilon:
-            stuck += 1
+    stuck = sum(rec.d_sbar[-1] > config.epsilon for rec in iter_ensemble(spec, range(100)))
     ok = stuck >= 1
     assert report(6, "without noise some non-seeker ends > epsilon from the truth",
                   ok, f"{stuck}/100 seeds end with a stranded non-seeker cluster")
 
 
 def test_criterion_07_noise_quarter_bands():
-    upper, lower = quarter_band_frequencies(draws=100_000, delta=0.02, seed=707)
-    dev = max(abs(upper - 0.25), abs(lower - 0.25))
-    ok = dev <= 0.005
+    # lane 0 of suite seed 707 is the PCG64(707) stream; tolerance 0.005 at 10^5 draws
+    res = check_quarter_bands(draws=100_000, delta=0.02, seed=707)
+    ok = res.status == "pass"
     assert report(7, "each noise quarter band has frequency 0.25 +- 0.005",
-                  ok, f"upper {upper:.5f}, lower {lower:.5f} over 10^5 draws")
+                  ok, f"margin {res.margin:.5f} to the worst band over 10^5 draws")
 
 
 def test_criterion_08_running_average_monotonicity():

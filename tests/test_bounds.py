@@ -158,6 +158,12 @@ class TestAbsorbingBand:
         with pytest.raises(ValueError):
             in_absorbing_band([0.5] * 3, cfg, nb)
 
+    def test_refuses_heterogeneous_alpha(self):
+        cfg = ModelConfig(4, 0.5, 0.6, [0.5, 0.4, 0.5, 0.5], [0, 1], 0.01)
+        nb = compute_bounds(4, 2, 0.5, 0.5, 0.01)
+        with pytest.raises(ValueError, match="homogeneous alpha"):
+            in_absorbing_band([0.6] * 4, cfg, nb)
+
     def test_checks_the_profile(self):
         nb = bounds_for_config(self.CFG)
         for x in ([0.6] * 3, [0.6, 0.6, 0.6, 1.2], [0.6, 0.6, 0.6, float("nan")]):

@@ -380,6 +380,17 @@ class TestSweepCommand:
         assert main(["sweep", "--deltas", ""]) == 1
         assert "empty" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv,message", [
+        (["--alpha", "0.5,0.6"], "sweep requires a scalar alpha"),
+        (["--ms", "0,5"], "grid point (delta=0.02, alpha=0.5, m=0, epsilon=0.2) is invalid"),
+    ])
+    def test_invalid_grid_fails_before_writing(self, tmp_path, capsys, argv, message):
+        out = tmp_path / "out"
+        assert main(["sweep", *argv, "--runs", "1", "--horizon", "5", "--tail-window", "1",
+                     "--output", str(out)]) == 1
+        assert f"hktruth: error: {message}" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_explicit_seekers_are_kept_at_every_grid_point(self, tmp_path, capsys):
         out = tmp_path / "seekers"
         assert main(["sweep", "--n", "4", "--seekers", "2,3", "--deltas", "0.01,0.02",
@@ -465,6 +476,7 @@ class TestConfigFile:
         ("seed = -1", "--seed must be >= 0"),
         ("init = 0.1,zz", "config key init expects comma-separated numbers"),
         ("seekers = 1,x", "config key seekers expects comma-separated integers"),
+        ("n = abc", "config key n = 'abc' is not a number"),
     ])
     def test_bad_value_fails_every_command(self, tmp_path, capsys, command, line, message):
         # a command that does not use a key still rejects a bad value for it
@@ -525,12 +537,14 @@ class TestCliMisc:
         # the child imports the same hktruth as this process, installed or not
         src = str(Path(hktruth.dynamics.__file__).parents[1])
         path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-        proc = subprocess.run(
-            [sys.executable, "-m", "hktruth", "bounds", "--delta", "0.02"],
-            capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path},
-        )
+        env = {**os.environ, "PYTHONPATH": path}
+        proc = subprocess.run([sys.executable, "-m", "hktruth", "bounds", "--delta", "0.02"],
+                              capture_output=True, text=True, env=env)
         assert proc.returncode == 0
         assert json.loads(proc.stdout)["delta_lower"] == 0.025
+        proc = subprocess.run([sys.executable, "-m", "hktruth", "--version"],
+                              capture_output=True, text=True, env=env)
+        assert (proc.returncode, proc.stdout) == (0, f"hktruth {hktruth.__version__}\n")
 
     def test_unknown_flag_is_usage_error(self, capsys):
         assert main(["bounds", "--frobnicate"]) == 1

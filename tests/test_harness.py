@@ -112,6 +112,21 @@ class TestRunSpecValidation:
         with pytest.raises(ValueError):
             make_spec(mode="gossip")
 
+    @pytest.mark.parametrize("field,value", [
+        ("horizon", 100.0), ("horizon", True),
+        ("tail_window", 2.5), ("tail_window", True),
+        ("seed", 1.5), ("seed", True), ("seed", -1),
+    ])
+    def test_counts_must_be_integers(self, field, value):
+        # ModelConfig.n's rule: an int or NumPy integer, never a bool
+        with pytest.raises(ValueError, match=f"^{field} must be"):
+            make_spec(**{field: value})
+
+    def test_numpy_integer_counts_accepted(self):
+        spec = make_spec(horizon=np.int64(40), tail_window=np.int32(4), seed=np.uint64(7))
+        assert run_trajectory(spec).tail_sup == run_trajectory(
+            make_spec(horizon=40, tail_window=4, seed=7)).tail_sup
+
     def test_steered_needs_positive_delta(self):
         cfg = dataclasses.replace(REF_CONFIG)
         cfg = ModelConfig(cfg.n, cfg.epsilon, cfg.truth, 0.5, range(10), 0.0)
@@ -339,6 +354,18 @@ class TestEnsemble:
     def test_rejects_a_negative_seed(self):
         with pytest.raises(ValueError, match="non-negative"):
             list(iter_ensemble(make_spec(), [3, -1]))
+
+    @pytest.mark.parametrize("seed", [0.5, 2.0, True, np.float64(1.0)])
+    def test_rejects_a_seed_that_is_not_an_integer(self, seed):
+        with pytest.raises(ValueError, match="^seeds must be non-negative integers"):
+            list(iter_ensemble(make_spec(), [3, seed]))
+
+    def test_numpy_integer_seeds_accepted(self):
+        spec = make_spec(horizon=20, tail_window=2)
+        records = list(iter_ensemble(spec, np.array([4, 9])))
+        assert [rec.spec.seed for rec in records] == [4, 9]
+        assert [rec.tail_sup for rec in records] == [
+            rec.tail_sup for rec in iter_ensemble(spec, [4, 9])]
 
     def test_any_seed_list_matches_run_trajectory(self):
         # seeds out of order, repeated and far apart, across a batch boundary

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import hktruth.dynamics
+import hktruth.verify
 from hktruth.bounds import bounds_for_config, is_admissible
 from hktruth.dynamics import ModelConfig
 from hktruth.verify import (
@@ -63,6 +64,24 @@ def test_range_preservation_fails_when_clamp_disabled(monkeypatch):
     assert res.margin < 0
 
 
+def test_steered_contraction_fails_without_the_steering(monkeypatch):
+    # negative control: zero steering gains nothing per step, so every walk
+    # runs out its block-length budget
+    monkeypatch.setattr(hktruth.verify, "steered_noise", lambda means, _: np.zeros_like(means))
+    res = check_steered_contraction(REF_CONFIG, trials=5)
+    assert res.status == "fail"
+    assert res.margin == pytest.approx(-0.01)
+    assert res.note == "5 walks missed the block-length budget"
+
+
+def test_absorption_fails_without_neighbour_averaging(monkeypatch):
+    # negative control: zero neighbourhood means send every non-seeker to 0, out of the band
+    monkeypatch.setattr(hktruth.dynamics, "neighbor_means", lambda x, epsilon: np.zeros_like(x))
+    res = check_absorption(REF_CONFIG, trials=3, steps=20)
+    assert res.status == "fail"
+    assert res.margin == pytest.approx(-0.70, abs=0.01)
+
+
 def test_range_preservation_passes_with_clamp():
     cfg = ModelConfig(10, 0.2, 0.8, 0.5, range(5), 0.4)
     res = check_range_preservation(cfg, trials=50, seed=0)
@@ -76,6 +95,13 @@ def test_sampled_configs_are_admissible():
         nb = bounds_for_config(cfg)
         assert is_admissible(cfg.delta, nb)
         assert cfg.delta < nb.delta_lower  # sampled strictly inside
+
+
+def test_sampling_gives_up_when_no_config_is_admissible():
+    # delta_lower <= m epsilon / (n + 2m) < 1/2, so no draw passes min_delta = 1
+    rng = np.random.Generator(np.random.PCG64(0))
+    with pytest.raises(RuntimeError, match="could not sample an admissible config"):
+        sample_admissible_config(rng, min_delta=1.0)
 
 
 def test_suite_results_flag_failures():

@@ -6,10 +6,8 @@ from .bounds import (
     bounds_for_config,
     compute_bounds,
     in_absorbing_band,
-    is_admissible,
     running_averages,
     steered_noise,
-    success_log_prob_lower_bound,
 )
 from .dynamics import ModelConfig, neighbor_means, step
 from .harness import (
@@ -25,7 +23,7 @@ from .harness import (
     summarize,
 )
 
-__version__ = "0.4.0"
+__version__ = "0.5.0"
 
 __all__ = [
     "__version__",
@@ -35,11 +33,9 @@ __all__ = [
     "NoiseBounds",
     "compute_bounds",
     "bounds_for_config",
-    "is_admissible",
     "in_absorbing_band",
     "steered_noise",
     "block_length",
-    "success_log_prob_lower_bound",
     "running_averages",
     "MODE_NOISE_FREE",
     "MODE_IID",

@@ -8,14 +8,14 @@ strength ``alpha``, confidence threshold ``epsilon`` and noise strength
 * ``delta2``: the same for non-seekers,
 * ``delta_bar``: the overall precision, max of the two,
 * ``delta_lower``: the largest noise strength for which capture is
-  guaranteed almost surely.
+  guaranteed almost surely; ``admissible`` says whether delta lies in
+  (0, delta_lower].
 
 This module also provides the constructive machinery used to verify the
 convergence argument: a deterministic steered-noise protocol that drags
 every agent toward the truth, the worst-case number of steered steps
-needed from any start, the log-domain lower bound on the probability
-that unsteered noise happens to realize such a block, and a running
-average helper whose monotonicity the argument relies on.
+needed from any start, and a running average helper whose monotonicity
+the argument relies on.
 
 Everything here is stateless; operations that require a homogeneous
 attraction strength or at least one seeker refuse configs that lack them.
@@ -29,18 +29,16 @@ from typing import Sequence
 
 import numpy as np
 
-from .dynamics import ModelConfig, _check_delta, subset_deviations, validate_state
+from .dynamics import ModelConfig, _check_delta, _is_int, subset_deviations, validate_state
 
 __all__ = [
     "NoiseBounds",
     "compute_bounds",
     "bounds_for_config",
-    "is_admissible",
     "band_slack",
     "in_absorbing_band",
     "steered_noise",
     "block_length",
-    "success_log_prob_lower_bound",
     "running_averages",
 ]
 
@@ -53,20 +51,23 @@ class NoiseBounds:
     delta2: float
     delta_bar: float
     delta_lower: float
+    admissible: bool
 
 
 def compute_bounds(n: int, m: int, alpha: float, epsilon: float, delta: float) -> NoiseBounds:
-    """Evaluate the four closed-form bounds.
+    """Evaluate the four closed-form bounds and whether delta is admissible.
 
     delta1 = n(1-alpha)delta/(m alpha) + delta
     delta2 = n delta/(m alpha) + delta
     delta_bar = max(delta1, delta2)
     delta_lower = min(m alpha epsilon / (2n + (2m-n)alpha), m epsilon / (n + 2m))
+    admissible = 0 < delta <= delta_lower
     """
-    if n < 1:
-        raise ValueError(f"agent count n must be >= 1, got {n!r}")
-    if not 1 <= m <= n:
-        raise ValueError(f"seeker count m must satisfy 1 <= m <= n, got m={m!r} with n={n!r}")
+    if not _is_int(n) or n < 1:
+        raise ValueError(f"agent count n must be a positive integer, got {n!r}")
+    if not _is_int(m) or not 1 <= m <= n:
+        raise ValueError(f"seeker count m must be an integer with 1 <= m <= n, "
+                         f"got m={m!r} with n={n!r}")
     if not 0.0 < alpha <= 1.0:
         raise ValueError(f"attraction strength alpha must lie in (0, 1], got {alpha!r}")
     if not 0.0 < epsilon <= 1.0:
@@ -74,11 +75,10 @@ def compute_bounds(n: int, m: int, alpha: float, epsilon: float, delta: float) -
     _check_delta(delta)
     delta1 = n * (1.0 - alpha) * delta / (m * alpha) + delta
     delta2 = n * delta / (m * alpha) + delta
-    delta_lower = min(
-        m * alpha * epsilon / (2.0 * n + (2.0 * m - n) * alpha),
-        m * epsilon / (n + 2.0 * m),
-    )
-    return NoiseBounds(delta1, delta2, max(delta1, delta2), delta_lower)
+    delta_lower = min(m * alpha * epsilon / (2.0 * n + (2.0 * m - n) * alpha),
+                      m * epsilon / (n + 2.0 * m))
+    admissible = bool(0.0 < delta <= delta_lower)
+    return NoiseBounds(delta1, delta2, max(delta1, delta2), delta_lower, admissible)
 
 
 def bounds_for_config(config: ModelConfig) -> NoiseBounds:
@@ -87,11 +87,6 @@ def bounds_for_config(config: ModelConfig) -> NoiseBounds:
     if alpha is None:
         raise ValueError("bound formulas require a homogeneous alpha (all agents equal)")
     return compute_bounds(config.n, config.m, alpha, config.epsilon, config.delta)
-
-
-def is_admissible(delta: float, bounds: NoiseBounds) -> bool:
-    """True iff the noise strength falls in the guaranteed-capture range (0, delta_lower]."""
-    return 0.0 < delta <= bounds.delta_lower
 
 
 def band_slack(d_s: np.ndarray, d_sbar: np.ndarray, bounds: NoiseBounds) -> np.ndarray:
@@ -103,17 +98,16 @@ def band_slack(d_s: np.ndarray, d_sbar: np.ndarray, bounds: NoiseBounds) -> np.n
     return np.fmin(bounds.delta1 - d_s, bounds.delta2 - d_sbar)
 
 
-def in_absorbing_band(x: np.ndarray, config: ModelConfig, bounds: NoiseBounds) -> bool:
+def in_absorbing_band(x: np.ndarray, config: ModelConfig) -> bool:
     """True iff every seeker is within delta1 and every non-seeker within delta2 of the truth.
 
-    Once a profile satisfies this and delta is admissible, no sequence of
-    bounded noise vectors can break it (closed comparisons throughout).
-    An empty non-seeker set is vacuously within delta2.
+    The bounds are the config's own (``bounds_for_config``), so a config
+    without a seeker or with heterogeneous alpha raises. Once a profile
+    satisfies this and delta is admissible, no sequence of bounded noise
+    vectors can break it (closed comparisons throughout). An empty
+    non-seeker set is vacuously within delta2.
     """
-    if config.m < 1:
-        raise ValueError("the absorbing band is defined only for configs with >= 1 seeker")
-    if config.homogeneous_alpha() is None:
-        raise ValueError("the absorbing band requires a homogeneous alpha")
+    bounds = bounds_for_config(config)
     _, d_s, d_sbar = subset_deviations(validate_state(x, config), config)
     return bool(band_slack(d_s, d_sbar, bounds) >= 0.0)
 
@@ -142,21 +136,6 @@ def block_length(delta: float) -> int:
     if not 0.0 < delta < 1.0:
         raise ValueError(f"block length is defined for delta in (0, 1), got {delta!r}")
     return int(math.ceil((1.0 - delta) / (delta / 2.0)))
-
-
-def success_log_prob_lower_bound(n: int, L: int) -> float:
-    """Natural log of the lower bound on one block of spontaneous steering.
-
-    Each agent-step lands in the required quarter band with probability
-    1/4, so a full block of n agents over L steps has probability at
-    least 4**(-n*L); returned in log domain because that underflows
-    double precision for realistic sizes.
-    """
-    if n < 1:
-        raise ValueError(f"agent count n must be >= 1, got {n!r}")
-    if L < 1:
-        raise ValueError(f"block length L must be >= 1, got {L!r}")
-    return -float(n) * float(L) * math.log(4.0)
 
 
 def running_averages(seq: Sequence[float] | np.ndarray, offset: int = 0) -> np.ndarray:

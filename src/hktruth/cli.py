@@ -33,7 +33,7 @@ from typing import Any, Callable, Iterable, Iterator, Sequence
 import numpy as np
 
 from . import __version__
-from .bounds import NoiseBounds, bounds_for_config, is_admissible
+from .bounds import NoiseBounds, bounds_for_config
 from .dynamics import ModelConfig
 from .harness import (
     MODE_IID,
@@ -237,10 +237,8 @@ def _fmt(value: float) -> str:
     return format(float(value), ".12g")
 
 
-def _bounds_dict(nb: NoiseBounds | None, delta: float) -> dict[str, Any] | None:
-    if nb is None:
-        return None
-    return {**dataclasses.asdict(nb), "admissible": is_admissible(delta, nb)}
+def _bounds_dict(nb: NoiseBounds | None) -> dict[str, Any] | None:
+    return None if nb is None else dataclasses.asdict(nb)
 
 
 class _Output:
@@ -289,7 +287,7 @@ class _Output:
                        "seekers": sorted(config.seekers), "delta": config.delta},
             "run": {"mode": spec.mode, "horizon": spec.horizon, "tail_window": spec.tail_window,
                     "initial": spec.initial, **run_info},
-            "bounds": _bounds_dict(nb, config.delta),
+            "bounds": _bounds_dict(nb),
             "outputs": sorted([*self.names, "manifest.json"]),
             "duration_seconds": time.perf_counter() - self.started,
         })
@@ -303,7 +301,7 @@ def cmd_bounds(settings: dict[str, Any], args: argparse.Namespace) -> int:
         "alpha": config.homogeneous_alpha(),
         "epsilon": config.epsilon,
         "delta": config.delta,
-        **_bounds_dict(bounds_for_config(config), config.delta),
+        **_bounds_dict(bounds_for_config(config)),
     }
     print(json.dumps(payload, indent=2, sort_keys=True))
     return EXIT_OK
@@ -345,7 +343,7 @@ def cmd_ensemble(settings: dict[str, Any], args: argparse.Namespace) -> int:
                      "max": summary.tail_sup_max},
         "entry_time": {"count": summary.entry_count, "min": summary.entry_time_min,
                        "median": summary.entry_time_median, "max": summary.entry_time_max},
-        "bounds": _bounds_dict(summary.bounds, spec.config.delta),
+        "bounds": _bounds_dict(summary.bounds),
     })
     out.manifest("ensemble", spec, summary.bounds, seed_base=seeds.start, runs=len(seeds))
     frac = summary.converged_fraction
@@ -398,7 +396,7 @@ def cmd_sweep(settings: dict[str, Any], args: argparse.Namespace) -> int:
             first = (spec, nb)
         summary = summarize(iter_ensemble(spec, seeds))
         fields = (delta, alpha, m, epsilon, nb.delta1, nb.delta2, nb.delta_bar, nb.delta_lower)
-        rows.append(",".join([*map(_fmt, fields), str(is_admissible(delta, nb)).lower(),
+        rows.append(",".join([*map(_fmt, fields), str(nb.admissible).lower(),
                               _fmt(summary.converged_fraction), _fmt(summary.tail_sup_median)]))
 
     header = ("delta,alpha,m,epsilon,delta1,delta2,delta_bar,delta_lower,admissible,"

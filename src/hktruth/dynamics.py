@@ -56,8 +56,9 @@ class ModelConfig:
     ``alpha`` may be given as a single float (applied to every agent) or
     as one value per agent; it is stored as a tuple. Only the attraction
     of agents in ``seekers`` takes effect, everyone else's is treated as
-    zero. ``seekers`` may be empty, which yields plain bounded-confidence
-    averaging with no truth pull.
+    zero. ``seekers`` holds integer indices in [0, n), by the rule of ``n``;
+    it may be empty, which yields plain bounded-confidence averaging with
+    no truth pull.
     """
 
     n: int
@@ -91,9 +92,11 @@ class ModelConfig:
             raise ValueError(f"alpha must have one entry per agent ({n}), got {len(alpha_t)}")
         if any(not 0.0 <= a <= 1.0 for a in alpha_t):
             raise ValueError("every attraction strength alpha must lie in [0, 1]")
+        seekers = tuple(seekers)
+        for i in seekers:
+            if not _is_int(i) or not 0 <= i < n:
+                raise ValueError(f"seeker indices must be integers in [0, {n}), got {i!r}")
         seekers_f = frozenset(int(i) for i in seekers)
-        if any(i < 0 or i >= n for i in seekers_f):
-            raise ValueError(f"seeker indices must lie in [0, {n}), got {sorted(seekers_f)}")
         if any(alpha_t[i] <= 0.0 for i in seekers_f):
             raise ValueError("every seeker must have attraction strength alpha > 0")
         object.__setattr__(self, "n", int(n))

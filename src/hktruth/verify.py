@@ -5,7 +5,7 @@ number of trials, and reports a pass/fail/skip status together with the
 worst margin it observed (how much slack was left before the property
 would have been violated; negative means violated). Suites whose
 hypothesis the supplied config does not meet are skipped with a note,
-never failed.
+never failed; a seed below 0 or a count below 1 raises ValueError.
 
 The suites and their primitives back the package's acceptance tests,
 which run them at the trial counts and tolerances the project promises.
@@ -26,7 +26,6 @@ from .bounds import (
     bounds_for_config,
     compute_bounds,
     in_absorbing_band,
-    is_admissible,
     running_averages,
     steered_noise,
 )
@@ -73,7 +72,11 @@ class SuiteResult:
         return self.status == "fail"
 
 
-def _rng(seed: int, lane: int) -> np.random.Generator:
+def _rng(seed: int, lane: int, **counts: int) -> np.random.Generator:
+    """Check a suite's seed (an integer >= 0) and counts (integers >= 1); return its stream."""
+    for name, value, least in [("seed", seed, 0), *((k, v, 1) for k, v in counts.items())]:
+        if not dyn._is_int(value) or value < least:
+            raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
     return np.random.Generator(np.random.PCG64(seed + lane))
 
 
@@ -124,7 +127,7 @@ def absorption_margin(
     per_agent = np.where(config.seeker_mask, bounds.delta1, bounds.delta2)
     u = rng.uniform(-IN_BAND_RADIUS, IN_BAND_RADIUS, config.n)
     x = np.clip(config.truth + per_agent * u, 0.0, 1.0)
-    if not in_absorbing_band(x, config, bounds):
+    if not in_absorbing_band(x, config):
         raise AssertionError("sampled start state must satisfy the band condition")
     delta = config.delta
     kinds = rng.integers(0, 3, size=(steps, config.n))
@@ -166,7 +169,7 @@ def steered_walk(
 
 def check_running_average_monotonicity(trials: int = 1000, seed: int = 0) -> SuiteResult:
     """Monotone inputs must give monotone running averages (1e-12 slack)."""
-    rng = _rng(seed, 1)
+    rng = _rng(seed, 1, trials=trials)
     worst = math.inf
     for _ in range(trials):
         length = int(rng.integers(1, 101))
@@ -188,12 +191,13 @@ def check_quarter_bands(
     The 0.005 tolerance is stated for 10^5 draws; other draw counts scale
     it by sqrt(10^5 / draws) to keep the same confidence level.
     """
+    rng = _rng(seed, 0, draws=draws)
     if delta <= 0.0:
         return SuiteResult(
             "noise-quarter-bands", "skip", 0, None, "delta = 0 has no quarter bands"
         )
     tol = QUARTER_TOL * math.sqrt(100_000 / draws)
-    xi = draw_noise(_rng(seed, 0), draws, delta)
+    xi = draw_noise(rng, draws, delta)
     upper = float(np.mean((xi >= delta / 2.0) & (xi <= delta)))
     lower = float(np.mean((xi <= -delta / 2.0) & (xi >= -delta)))
     margin = tol - max(abs(upper - 0.25), abs(lower - 0.25))
@@ -204,7 +208,7 @@ def check_range_preservation(
     config: ModelConfig, trials: int = 500, seed: int = 0
 ) -> SuiteResult:
     """Both step kinds must keep every opinion inside [0, 1] exactly."""
-    rng = _rng(seed, 2)
+    rng = _rng(seed, 2, trials=trials)
     worst = math.inf
     for _ in range(trials):
         x = rng.random(config.n)
@@ -216,7 +220,7 @@ def check_range_preservation(
 
 def check_bound_consistency(trials: int = 10_000, seed: int = 0) -> SuiteResult:
     """At delta = delta_lower the two precision bounds must fit inside epsilon (1e-12 slack)."""
-    rng = _rng(seed, 3)
+    rng = _rng(seed, 3, trials=trials)
     worst = math.inf
     for _ in range(trials):
         n = int(rng.integers(1, 51))
@@ -234,11 +238,12 @@ def check_absorption(
 ) -> SuiteResult:
     """Once inside the absorbing band, bounded noise must never eject the group."""
     name = "absorbing-band-persistence"
+    rng = _rng(seed, 4, trials=trials, steps=steps)
     try:
         nb = bounds_for_config(config)
     except ValueError as exc:
         return SuiteResult(name, "skip", 0, None, str(exc))
-    if not is_admissible(config.delta, nb):
+    if not nb.admissible:
         return SuiteResult(
             name,
             "skip",
@@ -247,7 +252,6 @@ def check_absorption(
             f"delta={config.delta!r} outside the admissible range "
             f"(0, {nb.delta_lower!r}]; hypothesis unmet",
         )
-    rng = _rng(seed, 4)
     worst = math.inf
     for _ in range(trials):
         worst = min(worst, absorption_margin(config, nb, steps, rng))
@@ -259,11 +263,11 @@ def check_steered_contraction(
 ) -> SuiteResult:
     """Steered steps must gain delta/2 per step and finish within the block length."""
     name = "steered-contraction"
+    rng = _rng(seed, 5, trials=trials)
     if not 0.0 < config.delta < 1.0:
         return SuiteResult(
             name, "skip", 0, None, f"delta={config.delta!r} outside (0, 1); hypothesis unmet"
         )
-    rng = _rng(seed, 5)
     worst = math.inf
     failures = 0
     for _ in range(trials):

@@ -1,7 +1,5 @@
 from __future__ import annotations
 
-import math
-
 import numpy as np
 import pytest
 
@@ -10,10 +8,8 @@ from hktruth.bounds import (
     bounds_for_config,
     compute_bounds,
     in_absorbing_band,
-    is_admissible,
     running_averages,
     steered_noise,
-    success_log_prob_lower_bound,
 )
 from hktruth.dynamics import ModelConfig, neighbor_means
 
@@ -77,6 +73,10 @@ class TestComputeBounds:
             dict(n=5, m=2, alpha=0.5, epsilon=0.2, delta=-0.1),
             dict(n=5, m=2, alpha=0.5, epsilon=0.2, delta=float("nan")),
             dict(n=5, m=2, alpha=0.5, epsilon=0.2, delta=float("inf")),
+            dict(n=2.5, m=1, alpha=0.5, epsilon=0.2, delta=0.01),
+            dict(n=5, m=1.5, alpha=0.5, epsilon=0.2, delta=0.01),
+            dict(n=5, m=True, alpha=0.5, epsilon=0.2, delta=0.01),
+            dict(n=True, m=1, alpha=0.5, epsilon=0.2, delta=0.01),
         ],
     )
     def test_domain_errors(self, kwargs):
@@ -103,28 +103,27 @@ class TestBoundsForConfig:
 class TestAdmissibility:
     def test_reference_delta_admissible(self):
         nb = compute_bounds(**REF, delta=0.02)
-        assert is_admissible(0.02, nb)
+        assert nb.admissible
 
     def test_closed_upper_end(self):
         nb = compute_bounds(**REF, delta=0.025)
-        assert is_admissible(0.025, nb)
+        assert nb.admissible
 
     def test_strict_exceedance(self):
         nb = compute_bounds(**REF, delta=0.03)
-        assert not is_admissible(0.03, nb)
+        assert not nb.admissible
 
     def test_zero_noise_not_admissible(self):
         nb = compute_bounds(**REF, delta=0.0)
-        assert not is_admissible(0.0, nb)
+        assert not nb.admissible
 
 
 class TestAbsorbingBand:
     CFG = ModelConfig(4, 0.5, 0.6, 0.5, [0, 1], 0.01)
 
     def test_exact_truth_profile(self):
-        nb = bounds_for_config(self.CFG)
         x = [0.6] * 4
-        assert in_absorbing_band(x, self.CFG, nb)
+        assert in_absorbing_band(x, self.CFG)
 
     def test_boundary_is_inside(self):
         # binary-exact parameters so "exactly at the bound" is exact in floats:
@@ -134,41 +133,38 @@ class TestAbsorbingBand:
         assert (nb.delta1, nb.delta2) == (3.0 / 64, 5.0 / 64)
         x = [0.5 + nb.delta1, 0.5 - nb.delta1, 0.5 + nb.delta2, 0.5 - nb.delta2]
         assert np.max(np.abs(np.asarray(x[:2]) - 0.5)) == nb.delta1  # genuinely on the edge
-        assert in_absorbing_band(x, cfg, nb)
+        assert in_absorbing_band(x, cfg)
 
     def test_violating_non_seeker(self):
         nb = bounds_for_config(self.CFG)
         x = [0.6, 0.6, 0.6 + nb.delta2 + 0.01, 0.6]
-        assert not in_absorbing_band(x, self.CFG, nb)
+        assert not in_absorbing_band(x, self.CFG)
 
     def test_violating_seeker(self):
         nb = bounds_for_config(self.CFG)
         x = [0.6 + nb.delta1 + 0.005, 0.6, 0.6, 0.6]
-        assert not in_absorbing_band(x, self.CFG, nb)
+        assert not in_absorbing_band(x, self.CFG)
 
     def test_all_seekers_vacuous_complement(self):
         cfg = ModelConfig(3, 0.5, 0.5, 0.8, [0, 1, 2], 0.01)
         nb = bounds_for_config(cfg)
         x = [0.5 + nb.delta1] * 3
-        assert in_absorbing_band(x, cfg, nb)
+        assert in_absorbing_band(x, cfg)
 
     def test_refuses_empty_seeker_set(self):
         cfg = ModelConfig(3, 0.5, 0.5, 0.8, [], 0.01)
-        nb = compute_bounds(3, 1, 0.8, 0.5, 0.01)
-        with pytest.raises(ValueError):
-            in_absorbing_band([0.5] * 3, cfg, nb)
+        with pytest.raises(ValueError, match="1 <= m"):
+            in_absorbing_band([0.5] * 3, cfg)
 
     def test_refuses_heterogeneous_alpha(self):
         cfg = ModelConfig(4, 0.5, 0.6, [0.5, 0.4, 0.5, 0.5], [0, 1], 0.01)
-        nb = compute_bounds(4, 2, 0.5, 0.5, 0.01)
         with pytest.raises(ValueError, match="homogeneous alpha"):
-            in_absorbing_band([0.6] * 4, cfg, nb)
+            in_absorbing_band([0.6] * 4, cfg)
 
     def test_checks_the_profile(self):
-        nb = bounds_for_config(self.CFG)
         for x in ([0.6] * 3, [0.6, 0.6, 0.6, 1.2], [0.6, 0.6, 0.6, float("nan")]):
             with pytest.raises(ValueError):
-                in_absorbing_band(x, self.CFG, nb)
+                in_absorbing_band(x, self.CFG)
 
 
 class TestSteeredNoise:
@@ -214,22 +210,6 @@ class TestBlockLength:
     def test_domain_errors(self, delta):
         with pytest.raises(ValueError):
             block_length(delta)
-
-
-class TestSuccessLogProb:
-    def test_single_agent_single_step(self):
-        assert success_log_prob_lower_bound(1, 1) == pytest.approx(-math.log(4), abs=1e-15)
-
-    def test_reference_block(self):
-        assert success_log_prob_lower_bound(20, 98) == pytest.approx(
-            -1960 * math.log(4), rel=1e-15
-        )
-
-    def test_domain_errors(self):
-        with pytest.raises(ValueError):
-            success_log_prob_lower_bound(0, 5)
-        with pytest.raises(ValueError):
-            success_log_prob_lower_bound(3, 0)
 
 
 class TestRunningAverages:

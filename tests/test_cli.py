@@ -54,24 +54,24 @@ GOLDEN_CONFIG = "n = 4\nseekers = 0,2\nalpha = 0.4\ninit = 0.2,0.4,0.6,0.8\nmode
 # the parsing of every list value and the text of every report.
 ARTIFACT_DIGESTS = [
     (["simulate", "--seed", "3", "--horizon", "200", "--full-states"], {
-        "manifest.json": "fe631f0a63a6f512524b08e0730d02a5367fa19051350e0c67469353eb6af2ef",
+        "manifest.json": "66c4e2e2264010a4fe08826368913fdd29ef241edac4ef2f2133b05d7f3442fd",
         "metrics.csv": "ceaf3e6dd248690e8203d52f48970752d3ddae4e89bcb27129027c55cf7f3436",
         "states.csv": "9ce04b1c64e3bc8d9d7c2a9f3ff7c3706bcfd66ca4e77f5a4e14aa6e76e20535",
         "stdout": "d37aff333dace1a75626a26b62f84977c7510762b6a7824c748030d159d800f7",
     }),
     (["simulate", "--mode", "noise-free", "--delta", "0", "--n", "5", "--m", "2",
       "--alpha", "0.5,0.6,0.5,0.4,0.3", "--init", "0.1,0.3,0.5,0.7,0.9", "--horizon", "40"], {
-        "manifest.json": "44a7d05ebe4b509d1fae525c10d368deb59f9ede017fa159c6afebdedfd58d1c",
+        "manifest.json": "520ce409d686337d557a3731c801b7d1d5bc415aee7b4832f2f154968ce2c883",
         "metrics.csv": "704c9a99b9db507ef79bbed55623b79acb91280b0e2a190dd4cea845b66c3922",
         "stdout": "415e5181d73e4a2a6be0b8ff2598def5db2ff7204bcc247c533760c6798b2f10",
     }),
     (["simulate", "--config", "model.cfg", "--horizon", "30"], {
-        "manifest.json": "5584f3c32a52dabbec5b79d8398987b7072443e94692b131b1eb42c4d39b1995",
+        "manifest.json": "f1de5f6fa2dfcc595a24d71dd39e8e98c6648ae3434de7d157a2e9f9253a1c05",
         "metrics.csv": "d02ccccf6613863719284f6001c7bdaaab454ddfda88fc6d0ee9fee6fb8289c4",
         "stdout": "125e4d1ef7f77378271be630148a08e368c1c976cab181c49d058bb76e2642b8",
     }),
     (["ensemble", "--runs", "3", "--horizon", "300", "--seed", "2", "--per-run"], {
-        "manifest.json": "4b826c0bcfedd9854124e8b906f7a66265ee2829f1ea190ad3c08ba73c1a20dd",
+        "manifest.json": "aa9b4c06b0ad10b347681b493a8cdba0dd03acfa5a3c809f74a0e8735c89c4e1",
         "run_0000.csv": "0d364c9aa67b6c3d600c6e6bc444f18ccbf2685805ddd2b3b3bb2ba052958f75",
         "run_0001.csv": "730fa8d73eac3aab8d67eb8c9f7ce3d017ecbc81f3d56390e36f7043b091e517",
         "run_0002.csv": "1c3e82050200172a62e38b7b1d68c651d29871ca2452778451af156abb1a57d6",
@@ -80,13 +80,13 @@ ARTIFACT_DIGESTS = [
     }),
     (["sweep", "--deltas", "0.01,0.02", "--ms", "5,10", "--epsilons", "0.2,0.3",
       "--runs", "2", "--horizon", "100"], {
-        "manifest.json": "36b80eb356f8b828fc81f46125f92303920b5684b97106bf78d02ffe6a50e7ea",
+        "manifest.json": "f451f21f52764f2e154f1d1a5fe86efe4993769ef9781a60dfed32524db4b0d8",
         "sweep.csv": "90e94944b7fcc7590d2d6d839cf08b212f17d9252d02bd9dc4e7b9d93cbd1245",
         "stdout": "46b6cbca490edc7a1ad0ade0a930d6e137d628df94eecc0e33a5673c3020f54f",
     }),
     (["sweep", "--n", "4", "--seekers", "2,3", "--alphas", "0.3,0.6", "--runs", "2",
       "--horizon", "100"], {
-        "manifest.json": "23d6812c6443a281d5f3e4093d27553983afefd7417a65e4a2afec89b1bead78",
+        "manifest.json": "8a097717e157e659600e56b1c4c66687c1ad6cab82b79351c2d559308d839325",
         "sweep.csv": "97733f1ea1136f83c304e30499b06fc5d1173424a06f4923203426daf67d1f54",
         "stdout": "f8cc7beb1515342b323fbe33d2bce6f5439f30191a5f0a8a609c6fa427fa1860",
     }),

@@ -56,6 +56,9 @@ class TestModelConfig:
             dict(delta=float("nan")),
             dict(delta=float("inf")),
             dict(n=True),
+            dict(seekers=[0.7, 1.9]),  # non-integer indices must not become agents 0 and 1
+            dict(seekers=[True]),
+            dict(seekers=["1"]),
         ],
     )
     def test_invalid_configs_rejected(self, overrides):

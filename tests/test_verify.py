@@ -5,12 +5,14 @@ import pytest
 
 import hktruth.dynamics
 import hktruth.verify
-from hktruth.bounds import bounds_for_config, is_admissible
+from hktruth.bounds import bounds_for_config
 from hktruth.dynamics import ModelConfig
 from hktruth.verify import (
     check_absorption,
+    check_bound_consistency,
     check_quarter_bands,
     check_range_preservation,
+    check_running_average_monotonicity,
     check_steered_contraction,
     run_all,
     sample_admissible_config,
@@ -93,7 +95,7 @@ def test_sampled_configs_are_admissible():
     for _ in range(50):
         cfg = sample_admissible_config(rng)
         nb = bounds_for_config(cfg)
-        assert is_admissible(cfg.delta, nb)
+        assert nb.admissible
         assert cfg.delta < nb.delta_lower  # sampled strictly inside
 
 
@@ -108,3 +110,31 @@ def test_suite_results_flag_failures():
     res = check_quarter_bands(draws=50, delta=0.02, seed=0)  # 50 draws: sampling error
     assert res.status in ("pass", "fail")
     assert res.failed == (res.status == "fail")
+
+
+@pytest.mark.parametrize(
+    "call, argument",
+    [
+        pytest.param(lambda: check_steered_contraction(REF_CONFIG, trials=0), "trials",
+                     id="steered-contraction-trials-0"),
+        pytest.param(lambda: check_range_preservation(REF_CONFIG, trials=0), "trials",
+                     id="range-preservation-trials-0"),
+        pytest.param(lambda: check_bound_consistency(trials=0), "trials",
+                     id="bound-consistency-trials-0"),
+        pytest.param(lambda: check_running_average_monotonicity(trials=0), "trials",
+                     id="running-average-trials-0"),
+        pytest.param(lambda: check_absorption(REF_CONFIG, trials=0), "trials",
+                     id="absorption-trials-0"),
+        pytest.param(lambda: check_absorption(REF_CONFIG, steps=0), "steps",
+                     id="absorption-steps-0"),
+        pytest.param(lambda: check_quarter_bands(draws=0), "draws", id="quarter-bands-draws-0"),
+        pytest.param(lambda: check_quarter_bands(draws=-5), "draws",
+                     id="quarter-bands-draws-negative"),
+        pytest.param(lambda: run_all(REF_CONFIG, seed=-1), "seed", id="run-all-seed-negative"),
+        pytest.param(lambda: run_all(REF_CONFIG, seed=1.5), "seed", id="run-all-seed-float"),
+    ],
+)
+def test_suites_refuse_empty_counts_and_bad_seeds(call, argument):
+    # a suite that checks nothing must not report a pass
+    with pytest.raises(ValueError, match=f"^{argument} must be an integer"):
+        call()

@@ -146,6 +146,7 @@ def parse_config_file(path: str) -> dict[str, Any]:
     return values
 
 
+@functools.cache  # one parser per process: argparse reads the help width as it formats
 def build_parser() -> _Parser:
     parser = _Parser(prog="hktruth", description=__doc__.splitlines()[0])
     parser.add_argument("--version", action="version", version=f"hktruth {__version__}")
@@ -267,7 +268,8 @@ class _Output:
 
     def steps(self, name: str, columns: Iterable[str], table: np.ndarray) -> None:
         """A CSV of a (steps, columns) table: "t,<columns>", then a row per step from t = 0."""
-        rows = (f"{t}," + ",".join(map(_fmt, row)) for t, row in enumerate(table.tolist()))
+        row = "%d," + ",".join(["%.12g"] * table.shape[1])  # each value as _fmt writes it
+        rows = (row % (t, *values) for t, values in enumerate(table.tolist()))
         self.csv(name, ",".join(["t", *columns]), rows)
 
     def metrics(self, name: str, record: TrajectoryRecord) -> None:

@@ -127,6 +127,11 @@ class ModelConfig:
         eff.flags.writeable = False
         return eff
 
+    @cached_property
+    def full_attraction(self) -> np.ndarray:
+        """Indices of the agents with effective alpha 1, whose target is the truth itself."""
+        return np.flatnonzero(self.effective_alpha == 1.0)
+
     def homogeneous_alpha(self) -> float | None:
         """The common attraction strength, or None if entries differ."""
         first = self.alpha[0]
@@ -174,8 +179,8 @@ def _check_noise(
 
 
 def clamp_vector(values: np.ndarray) -> np.ndarray:
-    """Componentwise clamp into [0, 1]."""
-    return np.clip(values, 0.0, 1.0)
+    """Componentwise clamp into [0, 1]; ``ndarray.clip`` keeps -0.0, ``np.maximum`` would not."""
+    return values.clip(0.0, 1.0)
 
 
 def _edge(keys: np.ndarray, offset: float, tol: float, pred: Callable) -> np.ndarray:
@@ -244,7 +249,7 @@ def _window_means(x: np.ndarray, epsilon: float) -> np.ndarray:
     sums = prefix[hi + row] - prefix[lo + row]
     flat = s.ravel()
     out = np.empty(x.size)
-    out[where] = np.clip(centre.repeat(n) + sums / (hi - lo), flat[lo], flat[hi - 1])
+    out[where] = (centre.repeat(n) + sums / (hi - lo)).clip(flat[lo], flat[hi - 1])
     return out.reshape(x.shape)
 
 
@@ -275,15 +280,19 @@ def neighbor_means(x: np.ndarray, epsilon: float) -> np.ndarray:
         return _window_means(x, epsilon)
     diff = x[..., None, :] - x[..., :, None]  # diff[..., i, j] = fl(x_j - x_i)
     far_above = diff > epsilon
-    above = far_above.sum(axis=-1)
+    above = np.add.reduce(far_above, axis=-1)
     # fl(x_i - x_j) = -fl(x_j - x_i), so column i counts the agents far below x_i
-    below = far_above.sum(axis=-2)
+    below = np.add.reduce(far_above, axis=-2)
     mask = np.abs(diff) <= epsilon
     means = (mask @ x[..., None])[..., 0] / (n - below - above)
-    # batch row r starts at r*n in the flattened sorted opinions
-    ordered = np.sort(x, axis=-1).reshape(-1)
-    start = np.arange(0, ordered.size, n).reshape(x.shape[:-1] + (1,))
-    return np.clip(means, ordered[start + below], ordered[start + (n - 1) - above])
+    ordered = x.copy()
+    ordered.sort()
+    ordered = ordered.reshape(-1)
+    if x.size > n:  # batch row r starts at r*n in the flattened sorted opinions
+        start = np.arange(0, x.size, n).reshape(x.shape[:-1] + (1,))
+        below, above = below + start, above - start
+    # not in place: an in-place clip of one element turns -0.0 into +0.0
+    return means.clip(ordered[below], ordered[(n - 1) - above])
 
 
 def _step(
@@ -298,12 +307,12 @@ def _step(
     steered noise reuses the means the targets are built from.
     """
     means = neighbor_means(x, config.epsilon)
-    eff = config.effective_alpha
     # means + a*(truth - means) cannot leave [min(means, truth), max(...)]
     # even under rounding, unlike the textbook a*truth + (1-a)*means form.
-    combined = means + eff * (config.truth - means)
+    targets = means + config.effective_alpha * (config.truth - means)
     # full attraction lands on the truth exactly, not within an ulp of it
-    targets = np.where(eff == 1.0, config.truth, combined)
+    if config.full_attraction.size:
+        targets[..., config.full_attraction] = config.truth
     if noise is None:
         return targets
     if callable(noise):

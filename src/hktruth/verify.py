@@ -123,7 +123,10 @@ def absorption_margin(
     of each bound. Noise components mix the exact extremes +delta and
     -delta with ``draw_noise`` draws. Returns min over steps of the
     distance left inside the band; negative means the band was violated.
+    ``bounds`` must be the config's own (``bounds_for_config``).
     """
+    if bounds != bounds_for_config(config):
+        raise ValueError(f"{bounds} are not the config's own bounds (bounds_for_config)")
     per_agent = np.where(config.seeker_mask, bounds.delta1, bounds.delta2)
     u = rng.uniform(-IN_BAND_RADIUS, IN_BAND_RADIUS, config.n)
     x = np.clip(config.truth + per_agent * u, 0.0, 1.0)
@@ -155,13 +158,13 @@ def steered_walk(
     delta = config.delta
     L = block_length(delta)
     x = dyn.validate_state(x0, config)
-    d = float(np.max(np.abs(x - config.truth)))
+    d = float(np.abs(x - config.truth).max())
     worst = math.inf
     for t in range(L):
         if d <= delta:
             return worst, True, t
         x = dyn._step(x, config, steered_noise)
-        d_next = float(np.max(np.abs(x - config.truth)))
+        d_next = float(np.abs(x - config.truth).max())
         worst = min(worst, (d - d_next) - delta / 2.0)
         d = d_next
     return worst, d <= delta, L

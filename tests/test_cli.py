@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 import hktruth.dynamics
-from hktruth.cli import SETTINGS, main
+from hktruth.cli import SETTINGS, _fmt, _Output, build_parser, main
 from hktruth.dynamics import ModelConfig
 from hktruth.harness import RunSpec, run_trajectory
 
@@ -501,6 +501,16 @@ class TestOutputs:
         duration = manifest["duration_seconds"]
         assert isinstance(duration, float) and duration >= 0.0
 
+    def test_step_rows_match_the_per_value_format(self, tmp_path):
+        values = [float("nan"), float("inf"), -float("inf"), -0.0, 5e-324, 1e16, 0.1 + 0.2]
+        table = np.array([values, values[::-1]])
+        out = _Output({"output": str(tmp_path)})
+        out.steps("table.csv", (f"c{i}" for i in range(len(values))), table)
+        rows = [f"{t}," + ",".join(map(_fmt, row)) for t, row in enumerate(table)]
+        lines = (tmp_path / "table.csv").read_text().splitlines()
+        assert lines == ["t,c0,c1,c2,c3,c4,c5,c6", *rows]
+        assert lines[1] == "0,nan,inf,-inf,-0,4.94065645841e-324,1e+16,0.3"
+
     def test_sweep_failing_at_a_later_grid_point_writes_nothing(self, tmp_path, capsys):
         # m = 5 runs; m = 30 > n then fails before any file is written
         out = tmp_path / "out"
@@ -532,19 +542,37 @@ class TestOutputs:
         assert {"noise-free", "iid-noise", "steered", "iid"} <= words
 
 
+def run_fresh(*argv):
+    """``python -m hktruth`` in a child that imports the same hktruth as this process."""
+    src = str(Path(hktruth.dynamics.__file__).parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, "-m", "hktruth", *argv],
+                          capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path})
+
+
 class TestCliMisc:
     def test_module_entry_point(self):
-        # the child imports the same hktruth as this process, installed or not
-        src = str(Path(hktruth.dynamics.__file__).parents[1])
-        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-        env = {**os.environ, "PYTHONPATH": path}
-        proc = subprocess.run([sys.executable, "-m", "hktruth", "bounds", "--delta", "0.02"],
-                              capture_output=True, text=True, env=env)
+        proc = run_fresh("bounds", "--delta", "0.02")
         assert proc.returncode == 0
         assert json.loads(proc.stdout)["delta_lower"] == 0.025
-        proc = subprocess.run([sys.executable, "-m", "hktruth", "--version"],
-                              capture_output=True, text=True, env=env)
+        proc = run_fresh("--version")
         assert (proc.returncode, proc.stdout) == (0, f"hktruth {hktruth.__version__}\n")
+
+    def test_calls_in_one_process_match_fresh_processes(self, tmp_path, capsys, monkeypatch):
+        # the parser is built once per process; no call leaves state for the next,
+        # and help is wrapped at the width of the call that prints it
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setenv("COLUMNS", "60")
+        for argv in (["bounds", "--n", "x"], ["simulate", "--help"],
+                     ["bounds", "--n", "4", "--m", "2"], ["ensemble", "--frobnicate"]):
+            try:
+                code = main(argv)
+            except SystemExit as exc:
+                code = exc.code
+            got = capsys.readouterr()
+            proc = run_fresh(*argv)
+            assert (code, got.out, got.err) == (proc.returncode, proc.stdout, proc.stderr)
+        assert build_parser() is build_parser()
 
     def test_unknown_flag_is_usage_error(self, capsys):
         assert main(["bounds", "--frobnicate"]) == 1

@@ -3,10 +3,13 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from hktruth.bounds import steered_noise
 from hktruth.dynamics import (
     _DENSE_MAX_N,
     ModelConfig,
+    _step,
     _windows,
+    clamp_vector,
     neighbor_means,
     step,
     subset_deviations,
@@ -156,6 +159,50 @@ def profile_of_kind(rng, n, kind):
     return x, eps
 
 
+def numpy_form_neighbor_means(x, epsilon):
+    """The dense kernel in its plain numpy form: ``np.sort``, one flat gather and ``np.clip``.
+
+    The sums and the hull are those of ``neighbor_means`` at n <= _DENSE_MAX_N;
+    only the numpy calls differ, so the two must agree bit for bit, the
+    sign of zero included.
+    """
+    n = x.shape[-1]
+    diff = x[..., None, :] - x[..., :, None]
+    far_above = diff > epsilon
+    above, below = far_above.sum(axis=-1), far_above.sum(axis=-2)
+    means = ((np.abs(diff) <= epsilon) @ x[..., None])[..., 0] / (n - below - above)
+    ordered = np.sort(x, axis=-1).reshape(-1)
+    start = np.arange(0, ordered.size, n).reshape(x.shape[:-1] + (1,))
+    return np.clip(means, ordered[start + below], ordered[start + (n - 1) - above])
+
+
+def numpy_form_step(x, config, noise=None):
+    """``_step`` with the full-attraction rule as ``np.where`` and the clamp as ``np.clip``."""
+    if x.shape[-1] <= _DENSE_MAX_N:
+        means = numpy_form_neighbor_means(x, config.epsilon)
+    else:
+        means = neighbor_means(x, config.epsilon)
+    eff = config.effective_alpha
+    targets = np.where(eff == 1.0, config.truth, means + eff * (config.truth - means))
+    if noise is None:
+        return targets
+    if callable(noise):
+        noise = noise(means, config)
+    return np.clip(targets + noise, 0.0, 1.0)
+
+
+def assert_same_bits(got, expected):
+    assert got.shape == expected.shape
+    np.testing.assert_array_equal(got, expected)
+    np.testing.assert_array_equal(np.signbit(got), np.signbit(expected))
+
+
+def signed_zero_profile(rng, n, kind):
+    """``profile_of_kind`` with about half of its zeros written as -0.0."""
+    x, eps = profile_of_kind(rng, n, kind)
+    return np.where((x == 0.0) & (rng.random(n) < 0.5), -0.0, x), eps
+
+
 class TestNeighborMeans:
     def test_matches_dense_hull_alone_and_in_a_batch(self):
         rng = np.random.Generator(np.random.PCG64(17))
@@ -297,6 +344,70 @@ class TestStepNoisy:
             noise = cfg.delta * (2.0 * rng.random(6) - 1.0)
             out = step(x, cfg, noise)
             assert np.all(out >= 0.0) and np.all(out <= 1.0)
+
+
+class TestSameBitsAsTheNumpyForm:
+    # -0.0 is a legal opinion. np.maximum/np.minimum turn it into +0.0, and
+    # so does an in-place clip of one element, where np.clip keeps the sign.
+    @pytest.mark.parametrize("x", [[-0.0], [-0.0, -0.0], [-0.0] * 5, [-0.0, 0.0, 0.2, 1.0]])
+    def test_signed_zero_profiles(self, x):
+        x = np.array(x)
+        cfg = ModelConfig(x.size, 0.2, 0.0, 1.0, [0], 0.01)
+        noise = np.full(x.size, -0.0)
+        assert_same_bits(neighbor_means(x, 0.2), numpy_form_neighbor_means(x, 0.2))
+        assert_same_bits(step(x, cfg), numpy_form_step(x, cfg))
+        assert_same_bits(step(x, cfg, noise), numpy_form_step(x, cfg, noise))
+        if not x.any():  # every mean is the hull's -0.0
+            assert np.signbit(neighbor_means(x, 0.2)).all()
+
+    def test_clamp_vector_keeps_the_sign_of_zero(self):
+        values = np.array([-0.0, 0.0, -1e-300, -0.5, 0.5, 1.0, 1.0 + 2.0**-52, 2.0])
+        for v in (values, values[:1], values.reshape(2, 4)):
+            assert_same_bits(clamp_vector(v), np.clip(v, 0.0, 1.0))
+        assert np.signbit(clamp_vector(np.array([-0.0]))[0])
+
+    def test_neighbor_means_alone_and_in_a_batch(self):
+        rng = np.random.Generator(np.random.PCG64(29))
+        for trial in range(400):
+            n = int(rng.integers(1, 30)) if trial % 4 else int(rng.integers(30, _DENSE_MAX_N + 1))
+            x, eps = signed_zero_profile(rng, n, trial)
+            batch = np.stack([x, rng.permutation(x), signed_zero_profile(rng, n, trial + 1)[0]])
+            expected = numpy_form_neighbor_means(batch, eps)
+            assert_same_bits(neighbor_means(batch, eps), expected)
+            for row, want in zip(batch, expected):
+                assert_same_bits(neighbor_means(row, eps), want)
+                assert_same_bits(numpy_form_neighbor_means(row, eps), want)
+
+    @pytest.mark.parametrize("noise_kind", ["noise-free", "iid", "steered"])
+    def test_step_alone_and_in_a_batch(self, noise_kind):
+        # ties exactly epsilon apart, alpha = 1 seekers, truths at the ends
+        rng = np.random.Generator(np.random.PCG64(31))
+        for trial in range(300):
+            n = int(rng.choice([1, 2, 5, 20, 25, 50, _DENSE_MAX_N, _DENSE_MAX_N + 1]))
+            x, eps = signed_zero_profile(rng, n, trial)
+            if trial % 3:
+                alpha = float(rng.choice([1.0, rng.uniform(0.01, 1.0)]))
+            else:
+                alpha = [float(a) for a in rng.choice([1.0, 0.5, rng.uniform(0.01, 1.0)], n)]
+            seekers = [int(i) for i in rng.permutation(n)[: int(rng.integers(0, n + 1))]]
+            truth = float(rng.choice([0.0, 1.0, rng.random()]))
+            cfg = ModelConfig(n, eps, truth, alpha, seekers, float(rng.choice([0.01, 0.3])))
+            batch = np.stack([x, rng.permutation(x), signed_zero_profile(rng, n, trial + 1)[0]])
+            if noise_kind == "noise-free":
+                noise = None
+            elif noise_kind == "steered":
+                noise = steered_noise
+            else:
+                noise = rng.uniform(-cfg.delta, cfg.delta, batch.shape)
+                noise[rng.random(batch.shape) < 0.3] = -0.0
+                noise[rng.random(batch.shape) < 0.3] = cfg.delta
+            expected = numpy_form_step(batch, cfg, noise)
+            assert_same_bits(_step(batch, cfg, noise), expected)
+            for r, row in enumerate(batch):
+                row_noise = noise[r] if isinstance(noise, np.ndarray) else noise
+                assert_same_bits(_step(row, cfg, row_noise), expected[r])
+                if not callable(row_noise):
+                    assert_same_bits(step(row, cfg, row_noise), expected[r])
 
 
 class TestDeviation:

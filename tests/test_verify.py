@@ -5,9 +5,10 @@ import pytest
 
 import hktruth.dynamics
 import hktruth.verify
-from hktruth.bounds import bounds_for_config
+from hktruth.bounds import bounds_for_config, compute_bounds
 from hktruth.dynamics import ModelConfig
 from hktruth.verify import (
+    absorption_margin,
     check_absorption,
     check_bound_consistency,
     check_quarter_bands,
@@ -82,6 +83,16 @@ def test_absorption_fails_without_neighbour_averaging(monkeypatch):
     res = check_absorption(REF_CONFIG, trials=3, steps=20)
     assert res.status == "fail"
     assert res.margin == pytest.approx(-0.70, abs=0.01)
+
+
+def test_absorption_margin_refuses_bounds_of_another_delta():
+    # the bounds for delta = 0.001 would report a false violation (margin -0.027)
+    own = absorption_margin(REF_CONFIG, bounds_for_config(REF_CONFIG), 50,
+                            np.random.Generator(np.random.PCG64(0)))
+    assert own == pytest.approx(0.0338, abs=1e-4)
+    with pytest.raises(ValueError, match="not the config's own bounds"):
+        absorption_margin(REF_CONFIG, compute_bounds(20, 10, 0.5, 0.2, 0.001), 50,
+                          np.random.Generator(np.random.PCG64(0)))
 
 
 def test_range_preservation_passes_with_clamp():

@@ -6,7 +6,6 @@ from .bounds import (
     bounds_for_config,
     compute_bounds,
     in_absorbing_band,
-    running_averages,
     steered_noise,
 )
 from .dynamics import ModelConfig, neighbor_means, step
@@ -23,7 +22,7 @@ from .harness import (
     summarize,
 )
 
-__version__ = "0.5.0"
+__version__ = "0.6.0"
 
 __all__ = [
     "__version__",
@@ -36,7 +35,6 @@ __all__ = [
     "in_absorbing_band",
     "steered_noise",
     "block_length",
-    "running_averages",
     "MODE_NOISE_FREE",
     "MODE_IID",
     "MODE_STEERED",

@@ -13,9 +13,8 @@ strength ``alpha``, confidence threshold ``epsilon`` and noise strength
 
 This module also provides the constructive machinery used to verify the
 convergence argument: a deterministic steered-noise protocol that drags
-every agent toward the truth, the worst-case number of steered steps
-needed from any start, and a running average helper whose monotonicity
-the argument relies on.
+every agent toward the truth, and the worst-case number of steered steps
+needed from any start.
 
 Everything here is stateless; operations that require a homogeneous
 attraction strength or at least one seeker refuse configs that lack them.
@@ -25,7 +24,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -39,7 +37,6 @@ __all__ = [
     "in_absorbing_band",
     "steered_noise",
     "block_length",
-    "running_averages",
 ]
 
 
@@ -137,17 +134,3 @@ def block_length(delta: float) -> int:
         raise ValueError(f"block length is defined for delta in (0, 1), got {delta!r}")
     return int(math.ceil((1.0 - delta) / (delta / 2.0)))
 
-
-def running_averages(seq: Sequence[float] | np.ndarray, offset: int = 0) -> np.ndarray:
-    """Running means of ``seq[offset:]``: k-th entry averages its first k values.
-
-    A nondecreasing input yields a nondecreasing output (and dually), the
-    property the steered-step argument leans on.
-    """
-    values = np.asarray(seq, dtype=np.float64)
-    if values.ndim != 1 or values.size == 0:
-        raise ValueError("running_averages needs a nonempty 1-D sequence")
-    if not 0 <= offset < values.size:
-        raise ValueError(f"offset must lie in [0, {values.size}), got {offset!r}")
-    tail = values[offset:]
-    return np.cumsum(tail) / np.arange(1, tail.size + 1)

@@ -56,9 +56,9 @@ class ModelConfig:
     ``alpha`` may be given as a single float (applied to every agent) or
     as one value per agent; it is stored as a tuple. Only the attraction
     of agents in ``seekers`` takes effect, everyone else's is treated as
-    zero. ``seekers`` holds integer indices in [0, n), by the rule of ``n``;
-    it may be empty, which yields plain bounded-confidence averaging with
-    no truth pull.
+    zero. ``seekers`` holds distinct integer indices in [0, n), by the rule
+    of ``n``; it may be empty, which yields plain bounded-confidence
+    averaging with no truth pull.
     """
 
     n: int
@@ -97,6 +97,9 @@ class ModelConfig:
             if not _is_int(i) or not 0 <= i < n:
                 raise ValueError(f"seeker indices must be integers in [0, {n}), got {i!r}")
         seekers_f = frozenset(int(i) for i in seekers)
+        if len(seekers_f) < len(seekers):
+            repeated = sorted(i for i in seekers_f if seekers.count(i) > 1)
+            raise ValueError(f"seeker indices must be distinct, got {repeated} more than once")
         if any(alpha_t[i] <= 0.0 for i in seekers_f):
             raise ValueError("every seeker must have attraction strength alpha > 0")
         object.__setattr__(self, "n", int(n))

@@ -7,8 +7,9 @@ would have been violated; negative means violated). Suites whose
 hypothesis the supplied config does not meet are skipped with a note,
 never failed; a seed below 0 or a count below 1 raises ValueError.
 
-The suites and their primitives back the package's acceptance tests,
-which run them at the trial counts and tolerances the project promises.
+Every suite checks code the model runs. The suites and their primitives
+back the package's acceptance tests, which run them at the trial counts
+and tolerances the project promises.
 """
 
 from __future__ import annotations
@@ -26,7 +27,6 @@ from .bounds import (
     bounds_for_config,
     compute_bounds,
     in_absorbing_band,
-    running_averages,
     steered_noise,
 )
 from .dynamics import ModelConfig
@@ -37,7 +37,6 @@ __all__ = [
     "sample_admissible_config",
     "absorption_margin",
     "steered_walk",
-    "check_running_average_monotonicity",
     "check_quarter_bands",
     "check_range_preservation",
     "check_bound_consistency",
@@ -170,22 +169,6 @@ def steered_walk(
     return worst, d <= delta, L
 
 
-def check_running_average_monotonicity(trials: int = 1000, seed: int = 0) -> SuiteResult:
-    """Monotone inputs must give monotone running averages (1e-12 slack)."""
-    rng = _rng(seed, 1, trials=trials)
-    worst = math.inf
-    for _ in range(trials):
-        length = int(rng.integers(1, 101))
-        seq = np.sort(rng.random(length))
-        direction = 1.0 if rng.random() < 0.5 else -1.0
-        seq = seq if direction > 0 else seq[::-1]
-        offset = int(rng.integers(0, length))
-        out = running_averages(seq, offset)
-        if out.size > 1:
-            worst = min(worst, float(np.min(direction * np.diff(out))) + DECREASE_TOL)
-    return _judged("running-average-monotonicity", worst >= 0.0, trials, worst)
-
-
 def check_quarter_bands(
     draws: int = 100_000, delta: float = 0.02, seed: int = 0
 ) -> SuiteResult:
@@ -291,7 +274,6 @@ def run_all(
 ) -> list[SuiteResult]:
     """Run every suite against one config; used by the `verify` command."""
     return [
-        check_running_average_monotonicity(trials=max(trials, 100), seed=seed),
         check_quarter_bands(draws=draws, delta=config.delta, seed=seed),
         check_range_preservation(config, trials=trials, seed=seed),
         check_bound_consistency(trials=max(trials, 1000), seed=seed),

@@ -2,6 +2,9 @@
 
 Tests check these scalar routes on their own and use them as an
 independent oracle; the package itself never calls them.
+``running_averages`` has no package counterpart: the convergence
+argument leans on its monotonicity, which criterion 08 checks, but the
+simulator never computes a running average.
 """
 
 from __future__ import annotations
@@ -55,3 +58,13 @@ def deviation(x: Sequence[float], subset: Iterable[int], truth: float) -> float:
     if not idx:
         raise ValueError("deviation requires a nonempty agent subset")
     return float(np.max(np.abs(x[idx] - truth)))
+
+
+def running_averages(seq: Sequence[float], offset: int = 0) -> np.ndarray:
+    """Running means of ``seq[offset:]``: the k-th entry averages its first k values.
+
+    A nondecreasing input yields a nondecreasing output (and dually), the
+    property the steered-step argument leans on.
+    """
+    tail = np.asarray(seq, dtype=np.float64)[offset:]
+    return np.cumsum(tail) / np.arange(1, tail.size + 1)

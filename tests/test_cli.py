@@ -50,28 +50,29 @@ GOLDEN_CONFIG = "n = 4\nseekers = 0,2\nalpha = 0.4\ninit = 0.2,0.4,0.6,0.8\nmode
 
 # sha256 of every file a command writes to the default output directory
 # "out", and of its stdout, keyed by file name and "stdout"; a manifest is
-# hashed without its duration_seconds line. They pin each artifact's bytes,
-# the parsing of every list value and the text of every report.
+# hashed without its duration_seconds and version lines, and its version is
+# checked on its own. They pin each artifact's bytes, the parsing of every
+# list value and the text of every report.
 ARTIFACT_DIGESTS = [
     (["simulate", "--seed", "3", "--horizon", "200", "--full-states"], {
-        "manifest.json": "66c4e2e2264010a4fe08826368913fdd29ef241edac4ef2f2133b05d7f3442fd",
+        "manifest.json": "5ae986c704927785bc2d9cfe436b0d03e90de6496d266ca15e12a669de579392",
         "metrics.csv": "ceaf3e6dd248690e8203d52f48970752d3ddae4e89bcb27129027c55cf7f3436",
         "states.csv": "9ce04b1c64e3bc8d9d7c2a9f3ff7c3706bcfd66ca4e77f5a4e14aa6e76e20535",
         "stdout": "d37aff333dace1a75626a26b62f84977c7510762b6a7824c748030d159d800f7",
     }),
     (["simulate", "--mode", "noise-free", "--delta", "0", "--n", "5", "--m", "2",
       "--alpha", "0.5,0.6,0.5,0.4,0.3", "--init", "0.1,0.3,0.5,0.7,0.9", "--horizon", "40"], {
-        "manifest.json": "520ce409d686337d557a3731c801b7d1d5bc415aee7b4832f2f154968ce2c883",
+        "manifest.json": "dc6e81b0bac109a75992a36b22a7672573ca1d4e0a80f1881794a70ae1bc1a79",
         "metrics.csv": "704c9a99b9db507ef79bbed55623b79acb91280b0e2a190dd4cea845b66c3922",
         "stdout": "415e5181d73e4a2a6be0b8ff2598def5db2ff7204bcc247c533760c6798b2f10",
     }),
     (["simulate", "--config", "model.cfg", "--horizon", "30"], {
-        "manifest.json": "f1de5f6fa2dfcc595a24d71dd39e8e98c6648ae3434de7d157a2e9f9253a1c05",
+        "manifest.json": "b2468c808f5c9f9ec434077d2f6660589e71baafd907decb21fbcc1c2cd805ff",
         "metrics.csv": "d02ccccf6613863719284f6001c7bdaaab454ddfda88fc6d0ee9fee6fb8289c4",
         "stdout": "125e4d1ef7f77378271be630148a08e368c1c976cab181c49d058bb76e2642b8",
     }),
     (["ensemble", "--runs", "3", "--horizon", "300", "--seed", "2", "--per-run"], {
-        "manifest.json": "aa9b4c06b0ad10b347681b493a8cdba0dd03acfa5a3c809f74a0e8735c89c4e1",
+        "manifest.json": "ef1627b36af784fe6865e741d0ed8805718e30799912d29c6a1682e50cc41116",
         "run_0000.csv": "0d364c9aa67b6c3d600c6e6bc444f18ccbf2685805ddd2b3b3bb2ba052958f75",
         "run_0001.csv": "730fa8d73eac3aab8d67eb8c9f7ce3d017ecbc81f3d56390e36f7043b091e517",
         "run_0002.csv": "1c3e82050200172a62e38b7b1d68c651d29871ca2452778451af156abb1a57d6",
@@ -80,13 +81,13 @@ ARTIFACT_DIGESTS = [
     }),
     (["sweep", "--deltas", "0.01,0.02", "--ms", "5,10", "--epsilons", "0.2,0.3",
       "--runs", "2", "--horizon", "100"], {
-        "manifest.json": "f451f21f52764f2e154f1d1a5fe86efe4993769ef9781a60dfed32524db4b0d8",
+        "manifest.json": "573d706d215794a3db30bcde3efc16fed5080a18b385b6bfd6161048db1ab9b4",
         "sweep.csv": "90e94944b7fcc7590d2d6d839cf08b212f17d9252d02bd9dc4e7b9d93cbd1245",
         "stdout": "46b6cbca490edc7a1ad0ade0a930d6e137d628df94eecc0e33a5673c3020f54f",
     }),
     (["sweep", "--n", "4", "--seekers", "2,3", "--alphas", "0.3,0.6", "--runs", "2",
       "--horizon", "100"], {
-        "manifest.json": "8a097717e157e659600e56b1c4c66687c1ad6cab82b79351c2d559308d839325",
+        "manifest.json": "f848b3eaa57e9186a7b216c4a962a0071271d7a7c64ced0648abc304b0767ce8",
         "sweep.csv": "97733f1ea1136f83c304e30499b06fc5d1173424a06f4923203426daf67d1f54",
         "stdout": "f8cc7beb1515342b323fbe33d2bce6f5439f30191a5f0a8a609c6fa427fa1860",
     }),
@@ -97,10 +98,10 @@ ARTIFACT_DIGESTS = [
         "stdout": "f16f957d1f3c7f711443b87eae1d0bab9aa14c7f4c62dea939257b10db9d82d0",
     }),
     (["verify", "--trials", "20", "--steps", "20", "--draws", "2000"], {
-        "stdout": "8e041a1230b832a1cb11b5d35f079d6c436b620e1763f6e8ef57483ec2d7438e",
+        "stdout": "d97f559bd3055066871910fd67ffbed51eef0bd4c1e827242f2b6ff576c9c6d4",
     }),
     (["verify", "--delta", "0.03", "--trials", "20", "--steps", "20", "--draws", "2000"], {
-        "stdout": "3df5a701c9042bc9945c9ffbb0daaa175ae6e0f5b54baf78c759c86607b1b8d9",
+        "stdout": "e80480e4c858d97ec28f77c60705d10f649b9f58a1a991e4054f7eb1865b75db",
     }),
 ]
 
@@ -108,7 +109,7 @@ ARTIFACT_DIGESTS = [
 def artifact_digest(name, data):
     if name == "manifest.json":
         data = b"".join(line for line in data.splitlines(keepends=True)
-                        if b'"duration_seconds"' not in line)
+                        if b'"duration_seconds"' not in line and b'"version"' not in line)
     return hashlib.sha256(data).hexdigest()
 
 
@@ -131,6 +132,8 @@ class TestGoldenDigests:
         actual = {path.name: artifact_digest(path.name, path.read_bytes()) for path in files}
         actual["stdout"] = artifact_digest("stdout", capsys.readouterr().out.encode())
         assert actual == digests
+        if out.exists():
+            assert read_manifest(out / "manifest.json")["version"] == hktruth.__version__
 
 
 class TestBoundsCommand:
@@ -312,7 +315,7 @@ class TestVerifyCommand:
         code = main(["verify", "--trials", "30", "--steps", "40", "--draws", "20000"])
         out = capsys.readouterr().out
         assert code == 0
-        assert out.count("[PASS]") == 6
+        assert out.count("[PASS]") == 5
         assert "[FAIL]" not in out
 
     def test_inadmissible_delta_skips_absorption(self, capsys):
@@ -383,6 +386,7 @@ class TestSweepCommand:
     @pytest.mark.parametrize("argv,message", [
         (["--alpha", "0.5,0.6"], "sweep requires a scalar alpha"),
         (["--ms", "0,5"], "grid point (delta=0.02, alpha=0.5, m=0, epsilon=0.2) is invalid"),
+        (["--n", "4", "--seekers", "0,0"], "seeker indices must be distinct, got [0] more than once"),
     ])
     def test_invalid_grid_fails_before_writing(self, tmp_path, capsys, argv, message):
         out = tmp_path / "out"

@@ -62,6 +62,7 @@ class TestModelConfig:
             dict(seekers=[0.7, 1.9]),  # non-integer indices must not become agents 0 and 1
             dict(seekers=[True]),
             dict(seekers=["1"]),
+            dict(seekers=[0, 2, 0]),  # a repeated index must not shrink m to 2
         ],
     )
     def test_invalid_configs_rejected(self, overrides):

@@ -22,7 +22,6 @@ PUBLIC = {
     "in_absorbing_band",
     "steered_noise",
     "block_length",
-    "running_averages",
     "MODE_NOISE_FREE",
     "MODE_IID",
     "MODE_STEERED",

@@ -3,11 +3,11 @@
 from __future__ import annotations
 
 import numpy as np
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, strategies as st
 
-from hktruth.bounds import compute_bounds, running_averages, steered_noise
+from hktruth.bounds import compute_bounds, steered_noise
 from hktruth.dynamics import _DENSE_MAX_N, ModelConfig, clamp_vector, neighbor_means, step
-from oracle import clamp_unit, local_mean, neighbor_set
+from oracle import clamp_unit, local_mean, neighbor_set, running_averages
 
 unit_floats = st.floats(0.0, 1.0, allow_nan=False, allow_infinity=False)
 
@@ -45,7 +45,6 @@ def profile_and_epsilon(draw, n_max=12, wide_max=300):
 
 
 @given(config_and_state())
-@settings(deadline=None)
 def test_neighbor_self_membership_and_symmetry(cs):
     config, x = cs
     sets = [neighbor_set(x, i, config.epsilon) for i in range(config.n)]
@@ -72,7 +71,6 @@ def test_clamp_vector_never_moves_away_from_truth(values, truth):
 
 
 @given(profile_and_epsilon())
-@settings(deadline=None)
 def test_neighbor_means_stay_in_hull_and_match_the_oracle(xe):
     x, eps = xe
     means = neighbor_means(x, eps)
@@ -83,7 +81,6 @@ def test_neighbor_means_stay_in_hull_and_match_the_oracle(xe):
 
 
 @given(config_and_state(), st.data())
-@settings(deadline=None)
 def test_noisy_step_stays_in_unit_interval(cs, data):
     config, x = cs
     raw = data.draw(st.lists(st.floats(-1.0, 1.0, allow_nan=False),
@@ -94,7 +91,6 @@ def test_noisy_step_stays_in_unit_interval(cs, data):
 
 
 @given(config_and_state())
-@settings(deadline=None)
 def test_noise_free_step_needs_no_clamping(cs):
     config, x = cs
     out = step(x, config)
@@ -102,7 +98,6 @@ def test_noise_free_step_needs_no_clamping(cs):
 
 
 @given(config_and_state())
-@settings(deadline=None)
 def test_local_mean_stays_in_neighbor_hull(cs):
     config, x = cs
     for i in range(config.n):
@@ -112,7 +107,6 @@ def test_local_mean_stays_in_neighbor_hull(cs):
 
 
 @given(config_and_state(), st.randoms(use_true_random=False))
-@settings(deadline=None)
 def test_agent_relabeling_permutes_the_step(cs, pyrandom):
     config, x = cs
     perm = list(range(config.n))
@@ -164,7 +158,6 @@ def test_precision_bounds_fit_inside_epsilon_at_admissible_noise(n, data):
 
 
 @given(config_and_state(min_seekers=0, min_delta=0.001))
-@settings(deadline=None)
 def test_single_steered_step_contracts_above_delta(cs):
     config, x = cs
     d = float(np.max(np.abs(x - config.truth)))

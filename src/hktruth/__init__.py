@@ -22,7 +22,7 @@ from .harness import (
     summarize,
 )
 
-__version__ = "0.6.0"
+__version__ = "0.7.0"
 
 __all__ = [
     "__version__",

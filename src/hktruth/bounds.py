@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import ModelConfig, _check_delta, _is_int, subset_deviations, validate_state
+from .dynamics import ModelConfig, _check_delta, _check_int, subset_deviations, validate_state
 
 __all__ = [
     "NoiseBounds",
@@ -60,11 +60,8 @@ def compute_bounds(n: int, m: int, alpha: float, epsilon: float, delta: float) -
     delta_lower = min(m alpha epsilon / (2n + (2m-n)alpha), m epsilon / (n + 2m))
     admissible = 0 < delta <= delta_lower
     """
-    if not _is_int(n) or n < 1:
-        raise ValueError(f"agent count n must be a positive integer, got {n!r}")
-    if not _is_int(m) or not 1 <= m <= n:
-        raise ValueError(f"seeker count m must be an integer with 1 <= m <= n, "
-                         f"got m={m!r} with n={n!r}")
+    _check_int("n", n, 1)
+    _check_int("m", m, 1, n)
     if not 0.0 < alpha <= 1.0:
         raise ValueError(f"attraction strength alpha must lie in (0, 1], got {alpha!r}")
     if not 0.0 < epsilon <= 1.0:

@@ -34,7 +34,7 @@ import numpy as np
 
 from . import __version__
 from .bounds import NoiseBounds, bounds_for_config
-from .dynamics import ModelConfig
+from .dynamics import ModelConfig, _check_int
 from .harness import (
     MODE_IID,
     MODES,
@@ -197,22 +197,21 @@ def _resolve(args: argparse.Namespace) -> dict[str, Any]:
     settings.setdefault("tail_window", max(1, settings["horizon"] // 10))
     # checked here, so a bad value in a shared config file fails every command
     for key, floor in (("runs", 1), ("seed", 0), ("trials", 1), ("steps", 1), ("draws", 1)):
-        value = settings.get(key, getattr(args, key, floor))  # trials etc. are verify flags
-        if value < floor:
-            raise ValueError(f"--{key} must be >= {floor}, got {value}")
+        # trials, steps and draws are verify flags
+        _check_int(f"--{key}", settings.get(key, getattr(args, key, floor)), floor)
     return settings
 
 
 def build_model_config(settings: dict[str, Any]) -> ModelConfig:
-    m = settings["m"]
-    if "seekers" not in settings and not 0 <= m <= settings["n"]:
-        raise ValueError(f"seeker count m must satisfy 0 <= m <= n, got m={m}")
+    if "seekers" not in settings:  # n first, so m's range is never empty
+        _check_int("n", settings["n"], 1)
+        _check_int("m", settings["m"], 0, settings["n"])
     return ModelConfig(
         n=settings["n"],
         epsilon=settings["epsilon"],
         truth=settings["truth"],
         alpha=settings["alpha"],
-        seekers=settings.get("seekers", range(m)),
+        seekers=settings.get("seekers", range(settings["m"])),
         delta=settings["delta"],
     )
 
@@ -383,28 +382,31 @@ def cmd_sweep(settings: dict[str, Any], args: argparse.Namespace) -> int:
             for axis, (key, _, _) in _SWEEP_AXES.items()}
     if not all(grid.values()):
         raise ValueError("sweep grid is empty")
+    # every grid point's spec and bounds, checked before the first run
+    plan = []
+    for delta, alpha, m, epsilon in itertools.product(*grid.values()):
+        try:
+            spec = build_run_spec(dict(settings, delta=delta, alpha=alpha, m=m, epsilon=epsilon))
+            plan.append((spec, bounds_for_config(spec.config)))
+        except ValueError as exc:
+            raise ValueError(f"grid point (delta={delta}, alpha={alpha}, m={m}, "
+                             f"epsilon={epsilon}) is invalid: {exc}") from exc
     seeds = _seeds(settings)
     out = _Output(settings)
 
     rows = []
-    for delta, alpha, m, epsilon in itertools.product(*grid.values()):
-        spec = build_run_spec(dict(settings, delta=delta, alpha=alpha, m=m, epsilon=epsilon))
-        try:
-            nb = bounds_for_config(spec.config)
-        except ValueError as exc:
-            raise ValueError(f"grid point (delta={delta}, alpha={alpha}, m={m}, "
-                             f"epsilon={epsilon}) is invalid: {exc}") from exc
-        if not rows:  # the manifest records the first grid point
-            first = (spec, nb)
+    for spec, nb in plan:
+        cfg = spec.config
         summary = summarize(iter_ensemble(spec, seeds))
-        fields = (delta, alpha, m, epsilon, nb.delta1, nb.delta2, nb.delta_bar, nb.delta_lower)
+        fields = (cfg.delta, cfg.alpha[0], cfg.m, cfg.epsilon,
+                  nb.delta1, nb.delta2, nb.delta_bar, nb.delta_lower)
         rows.append(",".join([*map(_fmt, fields), str(nb.admissible).lower(),
                               _fmt(summary.converged_fraction), _fmt(summary.tail_sup_median)]))
 
     header = ("delta,alpha,m,epsilon,delta1,delta2,delta_bar,delta_lower,admissible,"
               "converged_fraction,median_tail_sup")
     out.csv("sweep.csv", header, rows)
-    out.manifest("sweep", *first, seed_base=seeds.start, runs=len(seeds), grid=grid)
+    out.manifest("sweep", *plan[0], seed_base=seeds.start, runs=len(seeds), grid=grid)
     print(f"sweep: {len(rows)} grid points, runs={len(seeds)} each -> {out.dir / 'sweep.csv'}")
     return EXIT_OK
 

@@ -56,9 +56,9 @@ class ModelConfig:
     ``alpha`` may be given as a single float (applied to every agent) or
     as one value per agent; it is stored as a tuple. Only the attraction
     of agents in ``seekers`` takes effect, everyone else's is treated as
-    zero. ``seekers`` holds distinct integer indices in [0, n), by the rule
-    of ``n``; it may be empty, which yields plain bounded-confidence
-    averaging with no truth pull.
+    zero. ``seekers`` holds distinct integer indices in [0, n), checked
+    like ``n`` by ``_check_int``; it may be empty, which yields plain
+    bounded-confidence averaging with no truth pull.
     """
 
     n: int
@@ -77,8 +77,7 @@ class ModelConfig:
         seekers: Iterable[int],
         delta: float,
     ) -> None:
-        if not _is_int(n) or n < 1:
-            raise ValueError(f"agent count n must be a positive integer, got {n!r}")
+        _check_int("n", n, 1)
         if not 0.0 < epsilon <= 1.0:
             raise ValueError(f"confidence threshold epsilon must lie in (0, 1], got {epsilon!r}")
         if not 0.0 <= truth <= 1.0:
@@ -94,8 +93,7 @@ class ModelConfig:
             raise ValueError("every attraction strength alpha must lie in [0, 1]")
         seekers = tuple(seekers)
         for i in seekers:
-            if not _is_int(i) or not 0 <= i < n:
-                raise ValueError(f"seeker indices must be integers in [0, {n}), got {i!r}")
+            _check_int("seeker index", i, 0, n - 1)
         seekers_f = frozenset(int(i) for i in seekers)
         if len(seekers_f) < len(seekers):
             repeated = sorted(i for i in seekers_f if seekers.count(i) > 1)
@@ -143,9 +141,12 @@ class ModelConfig:
         return None
 
 
-def _is_int(value: object) -> bool:
-    """An int or NumPy integer, but not a bool."""
-    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+def _check_int(name: str, value: object, least: int, most: int | None = None) -> None:
+    """Refuse a value that is not an int or NumPy integer (a bool is not) in [least, most]."""
+    ok = isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+    if not (ok and least <= value and (most is None or value <= most)):
+        bound = f">= {least}" if most is None else f"in [{least}, {most}]"
+        raise ValueError(f"{name} must be an integer {bound}, got {value!r}")
 
 
 def validate_state(x: np.ndarray | Sequence[float], config: ModelConfig) -> np.ndarray:

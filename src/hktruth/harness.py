@@ -77,15 +77,9 @@ class RunSpec:
     def __post_init__(self) -> None:
         if self.mode not in MODES:
             raise ValueError(f"mode must be one of {MODES}, got {self.mode!r}")
-        if not dyn._is_int(self.horizon) or self.horizon < 1:
-            raise ValueError(f"horizon must be a positive integer, got {self.horizon!r}")
-        if not dyn._is_int(self.tail_window) or not 1 <= self.tail_window <= self.horizon:
-            raise ValueError(
-                f"tail_window must be an integer in [1, horizon={self.horizon}], "
-                f"got {self.tail_window!r}"
-            )
-        if not dyn._is_int(self.seed) or self.seed < 0:
-            raise ValueError(f"seed must be a non-negative integer, got {self.seed!r}")
+        dyn._check_int("horizon", self.horizon, 1)
+        dyn._check_int("tail_window", self.tail_window, 1, self.horizon)
+        dyn._check_int("seed", self.seed, 0)
         if self.mode == MODE_STEERED and self.config.delta <= 0.0:
             raise ValueError("steered mode requires delta > 0")
         if isinstance(self.initial, str):
@@ -216,9 +210,8 @@ def iter_ensemble(spec: RunSpec, seeds: Sequence[int]) -> Iterator[TrajectoryRec
     """Yield the record of ``spec`` run with each seed, in the order given."""
     if len(seeds) < 1:
         raise ValueError("an ensemble needs at least one seed")
-    bad = [seed for seed in seeds if not dyn._is_int(seed) or seed < 0]
-    if bad:
-        raise ValueError(f"seeds must be non-negative integers, got {bad[0]!r}")
+    for seed in seeds:
+        dyn._check_int("seed", seed, 0)
     n = spec.config.n
     cells = n**2 if n <= dyn._DENSE_MAX_N else _NOISE_BLOCK * n
     cap = max(1, min(_BATCH_RUNS, _BATCH_CELLS // cells))

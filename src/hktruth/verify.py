@@ -73,9 +73,9 @@ class SuiteResult:
 
 def _rng(seed: int, lane: int, **counts: int) -> np.random.Generator:
     """Check a suite's seed (an integer >= 0) and counts (integers >= 1); return its stream."""
-    for name, value, least in [("seed", seed, 0), *((k, v, 1) for k, v in counts.items())]:
-        if not dyn._is_int(value) or value < least:
-            raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
+    dyn._check_int("seed", seed, 0)
+    for name, count in counts.items():
+        dyn._check_int(name, count, 1)
     return np.random.Generator(np.random.PCG64(seed + lane))
 
 
@@ -93,8 +93,10 @@ def sample_admissible_config(
 
     ``delta_frac`` scales delta into (0, delta_lower); ``min_delta``
     rejects configs whose admissible range is too small to iterate in
-    reasonable time (the steered walk needs about 2/delta steps).
+    reasonable time (the steered walk needs about 2/delta steps). The
+    agent count is drawn from [2, n_max], so ``n_max`` must be >= 2.
     """
+    dyn._check_int("n_max", n_max, 2)
     for _ in range(SAMPLE_TRIES):
         n = int(rng.integers(2, n_max + 1))
         m = int(rng.integers(1, n + 1))
@@ -122,8 +124,10 @@ def absorption_margin(
     of each bound. Noise components mix the exact extremes +delta and
     -delta with ``draw_noise`` draws. Returns min over steps of the
     distance left inside the band; negative means the band was violated.
-    ``bounds`` must be the config's own (``bounds_for_config``).
+    ``bounds`` must be the config's own (``bounds_for_config``), and
+    ``steps`` an integer >= 1, since zero steps would check nothing.
     """
+    dyn._check_int("steps", steps, 1)
     if bounds != bounds_for_config(config):
         raise ValueError(f"{bounds} are not the config's own bounds (bounds_for_config)")
     per_agent = np.where(config.seeker_mask, bounds.delta1, bounds.delta2)
@@ -142,7 +146,7 @@ def absorption_margin(
         x = dyn._step(x, config, xi[t])
         xs[t] = x
     _, d_s, d_sbar = dyn.subset_deviations(xs, config)
-    return float(np.min(band_slack(d_s, d_sbar, bounds), initial=math.inf))
+    return float(np.min(band_slack(d_s, d_sbar, bounds)))
 
 
 def steered_walk(
@@ -175,10 +179,12 @@ def check_quarter_bands(
     """Each quarter band [delta/2, delta] and [-delta, -delta/2] hits 1/4 +- 0.005.
 
     The 0.005 tolerance is stated for 10^5 draws; other draw counts scale
-    it by sqrt(10^5 / draws) to keep the same confidence level.
+    it by sqrt(10^5 / draws) to keep the same confidence level. A delta
+    of 0 is skipped; a negative or NaN delta raises ValueError.
     """
     rng = _rng(seed, 0, draws=draws)
-    if delta <= 0.0:
+    dyn._check_delta(delta)
+    if delta == 0.0:
         return SuiteResult(
             "noise-quarter-bands", "skip", 0, None, "delta = 0 has no quarter bands"
         )

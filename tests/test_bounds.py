@@ -92,7 +92,7 @@ class TestBoundsForConfig:
 
     def test_requires_a_seeker(self):
         cfg = ModelConfig(3, 0.2, 0.8, 0.5, [], 0.01)
-        with pytest.raises(ValueError, match="1 <= m"):
+        with pytest.raises(ValueError, match=r"^m must be an integer in \[1, 3\], got 0"):
             bounds_for_config(cfg)
 
     def test_matches_compute_bounds(self):
@@ -153,7 +153,7 @@ class TestAbsorbingBand:
 
     def test_refuses_empty_seeker_set(self):
         cfg = ModelConfig(3, 0.5, 0.5, 0.8, [], 0.01)
-        with pytest.raises(ValueError, match="1 <= m"):
+        with pytest.raises(ValueError, match=r"^m must be an integer in \[1, 3\], got 0"):
             in_absorbing_band([0.5] * 3, cfg)
 
     def test_refuses_heterogeneous_alpha(self):

@@ -12,6 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import hktruth.cli
 import hktruth.dynamics
 from hktruth.cli import SETTINGS, _fmt, _Output, build_parser, main
 from hktruth.dynamics import ModelConfig
@@ -153,7 +154,13 @@ class TestBoundsCommand:
 
     def test_zero_seekers_is_a_config_error(self, capsys):
         assert main(["bounds", "--m", "0"]) == 1
-        assert "1 <= m" in capsys.readouterr().err
+        assert "hktruth: error: m must be an integer in [1, 20], got 0" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [["--n", "0"], ["--n", "-3", "--m", "0"]])
+    def test_bad_n_is_named_before_m(self, capsys, argv):
+        # m's range [0, n] is checked only against a valid n
+        assert main(["bounds", *argv]) == 1
+        assert capsys.readouterr().err == f"hktruth: error: n must be an integer >= 1, got {argv[1]}\n"
 
     def test_heterogeneous_alpha_rejected(self, capsys):
         assert main(["bounds", "--n", "3", "--m", "2", "--alpha", "0.5,0.6,0.5"]) == 1
@@ -332,7 +339,7 @@ class TestVerifyCommand:
     def test_non_positive_counts_rejected(self, capsys, flag, value):
         floor = 0 if flag == "--seed" else 1
         assert main(["verify", flag, value]) == 1
-        assert f"hktruth: error: {flag} must be >= {floor}" in capsys.readouterr().err
+        assert f"hktruth: error: {flag} must be an integer >= {floor}" in capsys.readouterr().err
 
     def test_library_value_error_is_a_usage_error(self, capsys):
         # ModelConfig raises ValueError inside the library; main maps it to exit 1
@@ -386,13 +393,33 @@ class TestSweepCommand:
     @pytest.mark.parametrize("argv,message", [
         (["--alpha", "0.5,0.6"], "sweep requires a scalar alpha"),
         (["--ms", "0,5"], "grid point (delta=0.02, alpha=0.5, m=0, epsilon=0.2) is invalid"),
-        (["--n", "4", "--seekers", "0,0"], "seeker indices must be distinct, got [0] more than once"),
+        pytest.param(["--n", "4", "--seekers", "0,0"],
+                     "grid point (delta=0.02, alpha=0.5, m=2, epsilon=0.2) is invalid: "
+                     "seeker indices must be distinct, got [0] more than once",
+                     id="argv2-seeker indices must be distinct, got [0] more than once"),
     ])
     def test_invalid_grid_fails_before_writing(self, tmp_path, capsys, argv, message):
         out = tmp_path / "out"
         assert main(["sweep", *argv, "--runs", "1", "--horizon", "5", "--tail-window", "1",
                      "--output", str(out)]) == 1
         assert f"hktruth: error: {message}" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_whole_grid_is_checked_before_the_first_run(self, tmp_path, capsys, monkeypatch):
+        calls, original = [], hktruth.cli.iter_ensemble
+
+        def counted(*args):
+            calls.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(hktruth.cli, "iter_ensemble", counted)
+        out = tmp_path / "out"
+        assert main(["sweep", "--epsilons", "0.2,0.3,1.5", "--runs", "20", "--horizon", "5000",
+                     "--output", str(out)]) == 1
+        assert ("hktruth: error: grid point (delta=0.02, alpha=0.5, m=10, epsilon=1.5) is invalid: "
+                "confidence threshold epsilon must lie in (0, 1], got 1.5"
+                ) in capsys.readouterr().err
+        assert calls == []
         assert not out.exists()
 
     def test_explicit_seekers_are_kept_at_every_grid_point(self, tmp_path, capsys):
@@ -475,9 +502,12 @@ class TestConfigFile:
     @pytest.mark.parametrize("line,message", [
         pytest.param("mode = bogus", "config key mode expects one of noise-free, iid-noise, steered, iid",
                      id="mode = bogus"),
-        ("runs = -3", "--runs must be >= 1"),
-        ("runs = 0", "--runs must be >= 1"),
-        ("seed = -1", "--seed must be >= 0"),
+        pytest.param("runs = -3", "--runs must be an integer >= 1, got -3",
+                     id="runs = -3---runs must be >= 1"),
+        pytest.param("runs = 0", "--runs must be an integer >= 1, got 0",
+                     id="runs = 0---runs must be >= 1"),
+        pytest.param("seed = -1", "--seed must be an integer >= 0, got -1",
+                     id="seed = -1---seed must be >= 0"),
         ("init = 0.1,zz", "config key init expects comma-separated numbers"),
         ("seekers = 1,x", "config key seekers expects comma-separated integers"),
         ("n = abc", "config key n = 'abc' is not a number"),
@@ -516,11 +546,12 @@ class TestOutputs:
         assert lines[1] == "0,nan,inf,-inf,-0,4.94065645841e-324,1e+16,0.3"
 
     def test_sweep_failing_at_a_later_grid_point_writes_nothing(self, tmp_path, capsys):
-        # m = 5 runs; m = 30 > n then fails before any file is written
+        # m = 30 > n fails before m = 5 runs and before any file is written
         out = tmp_path / "out"
         assert main(["sweep", "--n", "20", "--ms", "5,30", "--runs", "1", "--horizon", "5",
                      "--tail-window", "1", "--output", str(out)]) == 1
-        assert "0 <= m <= n" in capsys.readouterr().err
+        assert ("hktruth: error: grid point (delta=0.02, alpha=0.5, m=30, epsilon=0.2) is invalid: "
+                "m must be an integer in [0, 20], got 30") in capsys.readouterr().err
         assert not out.exists()
 
     def test_bad_mode_gets_one_message_from_flag_and_file(self, tmp_path, capsys):

@@ -352,12 +352,12 @@ class TestEnsemble:
             list(iter_ensemble(make_spec(), range(0)))
 
     def test_rejects_a_negative_seed(self):
-        with pytest.raises(ValueError, match="non-negative"):
+        with pytest.raises(ValueError, match=r"^seed must be an integer >= 0, got -1$"):
             list(iter_ensemble(make_spec(), [3, -1]))
 
     @pytest.mark.parametrize("seed", [0.5, 2.0, True, np.float64(1.0)])
     def test_rejects_a_seed_that_is_not_an_integer(self, seed):
-        with pytest.raises(ValueError, match="^seeds must be non-negative integers"):
+        with pytest.raises(ValueError, match="^seed must be an integer >= 0"):
             list(iter_ensemble(make_spec(), [3, seed]))
 
     def test_numpy_integer_seeds_accepted(self):

@@ -55,6 +55,13 @@ def test_quarter_bands_skipped_at_zero_delta():
     assert check_quarter_bands(draws=10, delta=0.0).status == "skip"
 
 
+@pytest.mark.parametrize("delta", [float("nan"), -0.01])
+def test_quarter_bands_refuse_a_bad_delta(delta):
+    # a negative delta is no noise strength, not a zero one to skip
+    with pytest.raises(ValueError, match="^noise strength delta must be finite and >= 0"):
+        check_quarter_bands(draws=10, delta=delta)
+
+
 def test_steered_skipped_at_zero_delta():
     cfg = ModelConfig(5, 0.2, 0.8, 0.5, [0], 0.0)
     assert check_steered_contraction(cfg, trials=5).status == "skip"

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -16,6 +18,11 @@ from hktruth.dynamics import (
     validate_state,
 )
 from oracle import clamp_unit, deviation, local_mean, neighbor_set
+
+
+# sha256 of the neighbor_means bytes in test_window_kernel_bits_are_pinned,
+# taken with the two-search window kernel
+WINDOW_KERNEL_DIGEST = "8516b08040062cbfb6d4362fa2067831197f3f3ac6b7cdc585ef864f2b73e163"
 
 
 def make_config(**overrides):
@@ -264,6 +271,20 @@ class TestNeighborMeans:
         assert np.max(np.abs(means - x.mean())) <= 4 * n * 2.0**-52
         together = neighbor_means(np.stack([x, rng.permutation(x)]), eps)
         np.testing.assert_array_equal(together[0], means)
+
+    def test_window_kernel_bits_are_pinned(self):
+        # the golden digests cover n <= _DENSE_MAX_N only; this pins the
+        # bytes of the sorted-window kernel, signed zeros included
+        digest = hashlib.sha256()
+        for n in (_DENSE_MAX_N + 1, 600, 2000):
+            for rows in (1, 4):
+                rng = np.random.Generator(np.random.PCG64(n * 10 + rows))
+                for kind in range(5):
+                    profiles = [signed_zero_profile(rng, n, kind + r) for r in range(rows)]
+                    x = np.stack([p for p, _ in profiles]).reshape((n,) if rows == 1 else (rows, n))
+                    eps = np.inf if kind == 4 else profiles[0][1]
+                    digest.update(neighbor_means(x, eps).tobytes())
+        assert digest.hexdigest() == WINDOW_KERNEL_DIGEST
 
 
 class TestStepNoiseFree:

@@ -20,9 +20,11 @@ every step.
 The neighbourhood of an agent is a contiguous window of the sorted
 profile, and ``neighbor_means`` picks its kernel by ``n``. Up to
 ``_DENSE_MAX_N`` agents it sums each window with a dense pairwise mask,
-O(n^2) time and memory per row. Above that it finds the windows by
-``searchsorted`` on the sorted row and sums them with prefix sums, in
-O(n log n) time and O(n) memory. Both apply the same exact closed test,
+O(n^2) time and memory per row. Above that it finds each window's start
+by ``searchsorted`` on the sorted row and sums the windows with prefix
+sums, in O(n log n) time and O(n) memory. The window ends need no second
+search: fl(s_j - s_i) <= epsilon holds exactly when s_i lies at or past
+the start of s_j's window. Both kernels apply the same exact closed test,
 so they find the same neighbours and the same hull; the two sums differ
 by O(n * 2^-52). Either way a row's means are the same alone or in a
 batch.
@@ -53,11 +55,12 @@ _DENSE_MAX_N = 128
 class ModelConfig:
     """Full parameterization of one model instance.
 
-    ``alpha`` may be given as a single float (applied to every agent) or
-    as one value per agent; it is stored as a tuple. Only the attraction
-    of agents in ``seekers`` takes effect, everyone else's is treated as
-    zero. ``seekers`` holds distinct integer indices in [0, n), checked
-    like ``n`` by ``_check_int``; it may be empty, which yields plain
+    ``alpha`` may be given as a single number (a float, NumPy scalar or
+    0-d array, applied to every agent) or as one value per agent; it is
+    stored as a tuple of floats. Only the attraction of agents in
+    ``seekers`` takes effect, everyone else's is treated as zero.
+    ``seekers`` holds distinct integer indices in [0, n), checked like
+    ``n`` by ``_check_int``; it may be empty, which yields plain
     bounded-confidence averaging with no truth pull.
     """
 
@@ -83,7 +86,7 @@ class ModelConfig:
         if not 0.0 <= truth <= 1.0:
             raise ValueError(f"truth value must lie in [0, 1], got {truth!r}")
         _check_delta(delta)
-        if isinstance(alpha, (int, float, np.floating, np.integer)):
+        if np.ndim(alpha) == 0:
             alpha_t = (float(alpha),) * int(n)
         else:
             alpha_t = tuple(float(a) for a in alpha)
@@ -136,7 +139,7 @@ class ModelConfig:
     def homogeneous_alpha(self) -> float | None:
         """The common attraction strength, or None if entries differ."""
         first = self.alpha[0]
-        if all(a == first for a in self.alpha):
+        if self.alpha.count(first) == self.n:
             return first
         return None
 
@@ -193,10 +196,11 @@ def _edge(keys: np.ndarray, offset: float, tol: float, pred: Callable) -> np.nda
     ``pred`` must be false then true along j, and the keys must decide it
     everywhere but within ``tol`` of keys[i] + offset: false below, true
     above. Entries with a key in that bracket are settled by bisecting on
-    ``pred`` itself; the others cost one ``searchsorted``.
+    ``pred`` itself; the others cost one ``searchsorted``. ``offset`` must
+    be <= 0, so that the first j is at most i and indexes ``keys``.
     """
     first = np.searchsorted(keys, keys + (offset - tol))
-    i = np.flatnonzero(np.append(keys, np.inf)[first] <= keys + (offset + tol))
+    i = np.flatnonzero(keys[first] <= keys + (offset + tol))
     a, b = first[i], np.searchsorted(keys, keys[i] + (offset + tol), "right")
     while i.size:
         mid = (a + b) >> 1
@@ -215,9 +219,11 @@ def _windows(s: np.ndarray, epsilon: float) -> tuple[np.ndarray, np.ndarray]:
     ``s.ravel()``: the neighbours of entry i are entries [lo[i], hi[i]), the
     j of its row with |fl(s_j - s_i)| <= epsilon, since fl(s_j - s_i) is
     monotone in s_j. The rows are laid end to end as keys, each shifted
-    clear of its neighbours' windows, so one ``searchsorted`` serves every
-    row. ``tol`` lies far above the rounding of the shifted keys; within it
-    of s_i -/+ epsilon the closed test itself decides.
+    clear of its neighbours' windows, so one ``searchsorted`` finds every
+    window start. ``tol`` lies far above the rounding of the shifted keys;
+    within it of s_i - epsilon the closed test itself decides. The window
+    ends need no search: fl(s_j - s_i) <= epsilon holds exactly when
+    lo[j] <= i, so hi[i] counts the j with lo[j] <= i.
     """
     rows, n = s.shape
     low, width = s[:, 0].min(), s[:, -1].max() - s[:, 0].min()
@@ -230,9 +236,8 @@ def _windows(s: np.ndarray, epsilon: float) -> tuple[np.ndarray, np.ndarray]:
     flat = s.ravel()
     # first neighbour: first j with fl(s_i - s_j) <= epsilon
     lo = _edge(keys, -epsilon, tol, lambda i, j: flat[i] - flat[j] <= epsilon)
-    # first agent past the window: first j with fl(s_j - s_i) > epsilon
-    hi = _edge(keys, epsilon, tol, lambda i, j: flat[j] - flat[i] > epsilon)
-    return lo, hi
+    # every lo[j] lies in j's own row, so the count holds on flat indices
+    return lo, np.bincount(lo, minlength=lo.size).cumsum()
 
 
 def _window_means(x: np.ndarray, epsilon: float) -> np.ndarray:
@@ -249,11 +254,12 @@ def _window_means(x: np.ndarray, epsilon: float) -> np.ndarray:
     prefix = np.zeros((rows, n + 1))
     np.cumsum(s - centre, axis=-1, out=prefix[:, 1:])
     prefix = prefix.ravel()
-    row = np.repeat(np.arange(rows), n)
+    row = lo // n
     sums = prefix[hi + row] - prefix[lo + row]
     flat = s.ravel()
     out = np.empty(x.size)
-    out[where] = (centre.repeat(n) + sums / (hi - lo)).clip(flat[lo], flat[hi - 1])
+    means = centre + (sums / (hi - lo)).reshape(rows, n)
+    out[where] = means.ravel().clip(flat[lo], flat[hi - 1])
     return out.reshape(x.shape)
 
 

@@ -206,9 +206,10 @@ def run_trajectory(spec: RunSpec) -> TrajectoryRecord:
     return _run_batch(spec, [spec.seed])[0]
 
 
-def iter_ensemble(spec: RunSpec, seeds: Sequence[int]) -> Iterator[TrajectoryRecord]:
+def iter_ensemble(spec: RunSpec, seeds: Iterable[int]) -> Iterator[TrajectoryRecord]:
     """Yield the record of ``spec`` run with each seed, in the order given."""
-    if len(seeds) < 1:
+    seeds = list(seeds)
+    if not seeds:
         raise ValueError("an ensemble needs at least one seed")
     for seed in seeds:
         dyn._check_int("seed", seed, 0)

@@ -38,6 +38,16 @@ class TestModelConfig:
         assert cfg.m == 2
         assert cfg.homogeneous_alpha() == 0.5
 
+    @pytest.mark.parametrize(
+        "alpha", [np.float64(0.5), np.float32(0.5), 1, np.array(0.5), np.array(0.5, np.float32)]
+    )
+    def test_every_scalar_kind_broadcasts(self, alpha):
+        # a 0-d array is a scalar like a NumPy float
+        cfg = make_config(n=4, alpha=alpha, seekers=[0, 2])
+        assert cfg.alpha == (float(alpha),) * 4
+        assert all(type(a) is float for a in cfg.alpha)
+        assert cfg.homogeneous_alpha() == float(alpha)
+
     def test_effective_alpha_zero_outside_seekers(self):
         cfg = make_config(n=3, alpha=[0.5, 0.9, 0.7], seekers=[1])
         np.testing.assert_array_equal(cfg.effective_alpha, [0.0, 0.9, 0.0])
@@ -245,6 +255,33 @@ class TestNeighborMeans:
             np.testing.assert_array_equal(together[0], means)
             for row, got in zip(batch[1:], together[1:]):
                 np.testing.assert_array_equal(got, neighbor_means(row, eps))
+
+    @pytest.mark.parametrize("eps", [0.2, 0.1, float("inf"), 1e308])
+    def test_batch_windows_match_the_dense_mask_row_by_row(self, eps):
+        # the window ends are counted over flat batch indices: every window
+        # must stay in its own row, whatever the rows around it hold
+        rng = np.random.Generator(np.random.PCG64(41))
+        n = _DENSE_MAX_N + 7
+        special = [
+            np.full(n, 0.3),  # all equal: a width-0 row
+            rng.choice([-0.0, 0.0, 0.1, 1.0], n),  # -0.0 beside 0.0
+            np.minimum(rng.integers(0, 11, n) * 0.1, 1.0),  # multiples of epsilon
+            np.minimum(rng.integers(0, 6, n) * 0.2, 1.0),
+        ]
+        for trial in range(30):
+            rows = int(rng.integers(2, 7))
+            picks = rng.integers(0, len(special) + 1, rows)
+            x = np.stack([special[p] if p < len(special) else rng.random(n) for p in picks])
+            s = np.sort(x, axis=-1)
+            lo, hi = _windows(s, eps)
+            flat, lo, hi = s.ravel(), lo.reshape(rows, n), hi.reshape(rows, n)
+            for r, row in enumerate(s):
+                assert np.all((r * n <= lo[r]) & (lo[r] < hi[r]) & (hi[r] <= (r + 1) * n))
+                mask = np.abs(row[None, :] - row[:, None]) <= eps
+                np.testing.assert_array_equal(hi[r] - lo[r], mask.sum(axis=1))
+                np.testing.assert_array_equal(flat[lo[r]], np.where(mask, row, np.inf).min(axis=1))
+                np.testing.assert_array_equal(
+                    flat[hi[r] - 1], np.where(mask, row, -np.inf).max(axis=1))
 
     @pytest.mark.parametrize("n", [20, 200])
     @pytest.mark.parametrize("eps", [0.0, -0.1, float("nan"), -float("inf")])

@@ -351,6 +351,22 @@ class TestEnsemble:
         with pytest.raises(ValueError):
             list(iter_ensemble(make_spec(), range(0)))
 
+    def test_rejects_an_empty_generator(self):
+        with pytest.raises(ValueError, match="^an ensemble needs at least one seed$"):
+            list(iter_ensemble(make_spec(), (seed for seed in ())))
+
+    def test_any_iterable_of_seeds_matches_the_list(self):
+        spec = make_spec(horizon=20, tail_window=2)
+        seeds = [4, 9, 2]
+
+        def runs(given):
+            return [(rec.spec, rec.tail_sup, rec.entry_time, rec.d_v.tobytes())
+                    for rec in iter_ensemble(spec, given)]
+
+        expected = runs(seeds)
+        for given in ((seed for seed in seeds), iter(seeds), tuple(seeds)):
+            assert runs(given) == expected
+
     def test_rejects_a_negative_seed(self):
         with pytest.raises(ValueError, match=r"^seed must be an integer >= 0, got -1$"):
             list(iter_ensemble(make_spec(), [3, -1]))

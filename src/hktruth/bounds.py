@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import ModelConfig, _check_delta, _check_int, subset_deviations, validate_state
+from .dynamics import ModelConfig, _check_int, _check_real, subset_deviations, validate_state
 
 __all__ = [
     "NoiseBounds",
@@ -38,6 +38,9 @@ __all__ = [
     "steered_noise",
     "block_length",
 ]
+
+
+STEERED_DELTA = "steered noise requires delta > 0, got {!r}"  # RunSpec checks it up front
 
 
 @dataclass(frozen=True)
@@ -62,11 +65,9 @@ def compute_bounds(n: int, m: int, alpha: float, epsilon: float, delta: float) -
     """
     _check_int("n", n, 1)
     _check_int("m", m, 1, n)
-    if not 0.0 < alpha <= 1.0:
-        raise ValueError(f"attraction strength alpha must lie in (0, 1], got {alpha!r}")
-    if not 0.0 < epsilon <= 1.0:
-        raise ValueError(f"confidence threshold epsilon must lie in (0, 1], got {epsilon!r}")
-    _check_delta(delta)
+    alpha = _check_real("alpha", alpha, "(0, 1]")
+    epsilon = _check_real("epsilon", epsilon, "(0, 1]")
+    delta = _check_real("delta", delta, "[0, inf)")
     delta1 = n * (1.0 - alpha) * delta / (m * alpha) + delta
     delta2 = n * delta / (m * alpha) + delta
     delta_lower = min(m * alpha * epsilon / (2.0 * n + (2.0 * m - n) * alpha),
@@ -120,14 +121,13 @@ def steered_noise(means: np.ndarray, config: ModelConfig) -> np.ndarray:
     builds the targets from.
     """
     if config.delta <= 0.0:
-        raise ValueError("the steered protocol requires delta > 0")
+        raise ValueError(STEERED_DELTA.format(config.delta))
     half = config.delta / 2.0
     return np.where(means <= config.truth, half, -half)
 
 
 def block_length(delta: float) -> int:
     """Steered steps guaranteed to reach deviation <= delta from any start."""
-    if not 0.0 < delta < 1.0:
-        raise ValueError(f"block length is defined for delta in (0, 1), got {delta!r}")
+    delta = _check_real("delta", delta, "(0, 1)")
     return int(math.ceil((1.0 - delta) / (delta / 2.0)))
 

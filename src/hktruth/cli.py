@@ -142,7 +142,8 @@ def parse_config_file(path: str) -> dict[str, Any]:
         except argparse.ArgumentTypeError as exc:
             raise ValueError(f"config key {key} {exc}") from None
         except ValueError as exc:
-            raise ValueError(f"config key {key} = {value!r} is not a number") from exc
+            noun = "an integer" if SETTINGS[key][0] is int else "a number"
+            raise ValueError(f"config key {key} = {value!r} is not {noun}") from exc
     return values
 
 

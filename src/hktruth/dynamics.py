@@ -55,13 +55,14 @@ _DENSE_MAX_N = 128
 class ModelConfig:
     """Full parameterization of one model instance.
 
-    ``alpha`` may be given as a single number (a float, NumPy scalar or
-    0-d array, applied to every agent) or as one value per agent; it is
-    stored as a tuple of floats. Only the attraction of agents in
-    ``seekers`` takes effect, everyone else's is treated as zero.
-    ``seekers`` holds distinct integer indices in [0, n), checked like
-    ``n`` by ``_check_int``; it may be empty, which yields plain
-    bounded-confidence averaging with no truth pull.
+    The real parameters follow one rule, checked by ``_check_real``: a
+    number, never a bool or a string, with epsilon in (0, 1], truth in
+    [0, 1] and delta in [0, inf). ``alpha`` is one number for every agent
+    (a 0-d array included) or one per agent, each in [0, 1], and in (0, 1]
+    for a seeker; it is stored as a tuple of floats. Only the attraction of
+    agents in ``seekers`` takes effect. ``seekers`` holds distinct integer
+    indices in [0, n), checked like ``n`` by ``_check_int``; it may be
+    empty, which yields plain bounded-confidence averaging.
     """
 
     n: int
@@ -81,19 +82,9 @@ class ModelConfig:
         delta: float,
     ) -> None:
         _check_int("n", n, 1)
-        if not 0.0 < epsilon <= 1.0:
-            raise ValueError(f"confidence threshold epsilon must lie in (0, 1], got {epsilon!r}")
-        if not 0.0 <= truth <= 1.0:
-            raise ValueError(f"truth value must lie in [0, 1], got {truth!r}")
-        _check_delta(delta)
-        if np.ndim(alpha) == 0:
-            alpha_t = (float(alpha),) * int(n)
-        else:
-            alpha_t = tuple(float(a) for a in alpha)
-        if len(alpha_t) != n:
-            raise ValueError(f"alpha must have one entry per agent ({n}), got {len(alpha_t)}")
-        if any(not 0.0 <= a <= 1.0 for a in alpha_t):
-            raise ValueError("every attraction strength alpha must lie in [0, 1]")
+        epsilon = _check_real("epsilon", epsilon, "(0, 1]")
+        truth = _check_real("truth", truth, "[0, 1]")
+        delta = _check_real("delta", delta, "[0, inf)")
         seekers = tuple(seekers)
         for i in seekers:
             _check_int("seeker index", i, 0, n - 1)
@@ -101,14 +92,20 @@ class ModelConfig:
         if len(seekers_f) < len(seekers):
             repeated = sorted(i for i in seekers_f if seekers.count(i) > 1)
             raise ValueError(f"seeker indices must be distinct, got {repeated} more than once")
-        if any(alpha_t[i] <= 0.0 for i in seekers_f):
-            raise ValueError("every seeker must have attraction strength alpha > 0")
+        # one alpha per agent, or one for all: a string or a 0-d array is one
+        if isinstance(alpha, Iterable) and not isinstance(alpha, str) and getattr(alpha, "ndim", 1):
+            alpha_t = tuple(_check_real(f"alpha[{i}]", a, "(0, 1]" if i in seekers_f else "[0, 1]")
+                            for i, a in enumerate(alpha))
+            if len(alpha_t) != n:
+                raise ValueError(f"alpha must have one entry per agent ({n}), got {len(alpha_t)}")
+        else:
+            alpha_t = (_check_real("alpha", alpha, "(0, 1]" if seekers_f else "[0, 1]"),) * int(n)
         object.__setattr__(self, "n", int(n))
-        object.__setattr__(self, "epsilon", float(epsilon))
-        object.__setattr__(self, "truth", float(truth))
+        object.__setattr__(self, "epsilon", epsilon)
+        object.__setattr__(self, "truth", truth)
         object.__setattr__(self, "alpha", alpha_t)
         object.__setattr__(self, "seekers", seekers_f)
-        object.__setattr__(self, "delta", float(delta))
+        object.__setattr__(self, "delta", delta)
 
     @property
     def m(self) -> int:
@@ -152,6 +149,22 @@ def _check_int(name: str, value: object, least: int, most: int | None = None) ->
         raise ValueError(f"{name} must be an integer {bound}, got {value!r}")
 
 
+def _check_real(name: str, value: object, interval: str) -> float:
+    """Return ``value`` as a float if it is a real number in ``interval``, else raise.
+
+    A real number is an int, a float, a NumPy integer or floating scalar, or
+    a 0-d array of one; never a bool, a string, a complex or a Fraction.
+    ``interval`` is written as the message prints it, "(0, 1]" or "[0, inf)".
+    """
+    x = value[()] if isinstance(value, np.ndarray) and value.ndim == 0 else value
+    low, high = (float(end) for end in interval[1:-1].split(", "))
+    if (isinstance(x, (float, int, np.floating, np.integer)) and not isinstance(x, bool)
+            and (low <= x if interval[0] == "[" else low < x)
+            and (x <= high if interval[-1] == "]" else x < high)):
+        return float(x)
+    raise ValueError(f"{name} must be a real number in {interval}, got {value!r}")
+
+
 def validate_state(x: np.ndarray | Sequence[float], config: ModelConfig) -> np.ndarray:
     """Return ``x`` as a float64 vector after checking it is a legal profile for ``config``."""
     arr = np.asarray(x, dtype=np.float64)
@@ -160,14 +173,8 @@ def validate_state(x: np.ndarray | Sequence[float], config: ModelConfig) -> np.n
     if not np.all(np.isfinite(arr)):
         raise ValueError("opinion vector contains non-finite values")
     if np.any(arr < 0.0) or np.any(arr > 1.0):
-        raise ValueError("every opinion must lie in [0, 1]")
+        raise ValueError("every opinion must be in [0, 1]")
     return arr
-
-
-def _check_delta(delta: float) -> None:
-    """Reject a noise strength ``delta`` that is not finite and >= 0 (NaN included)."""
-    if not 0.0 <= delta < np.inf:
-        raise ValueError(f"noise strength delta must be finite and >= 0, got {delta!r}")
 
 
 def _check_noise(
@@ -190,28 +197,6 @@ def clamp_vector(values: np.ndarray) -> np.ndarray:
     return values.clip(0.0, 1.0)
 
 
-def _edge(keys: np.ndarray, offset: float, tol: float, pred: Callable) -> np.ndarray:
-    """Per entry i of the sorted ``keys``, the first j at which ``pred(i, j)`` holds.
-
-    ``pred`` must be false then true along j, and the keys must decide it
-    everywhere but within ``tol`` of keys[i] + offset: false below, true
-    above. Entries with a key in that bracket are settled by bisecting on
-    ``pred`` itself; the others cost one ``searchsorted``. ``offset`` must
-    be <= 0, so that the first j is at most i and indexes ``keys``.
-    """
-    first = np.searchsorted(keys, keys + (offset - tol))
-    i = np.flatnonzero(keys[first] <= keys + (offset + tol))
-    a, b = first[i], np.searchsorted(keys, keys[i] + (offset + tol), "right")
-    while i.size:
-        mid = (a + b) >> 1
-        ok = pred(i, mid)
-        a, b = np.where(ok, a, mid + 1), np.where(ok, mid, b)
-        done = a == b
-        first[i[done]] = a[done]
-        i, a, b = i[~done], a[~done], b[~done]
-    return first
-
-
 def _windows(s: np.ndarray, epsilon: float) -> tuple[np.ndarray, np.ndarray]:
     """Closed-test neighbourhood windows of sorted rows.
 
@@ -221,9 +206,10 @@ def _windows(s: np.ndarray, epsilon: float) -> tuple[np.ndarray, np.ndarray]:
     monotone in s_j. The rows are laid end to end as keys, each shifted
     clear of its neighbours' windows, so one ``searchsorted`` finds every
     window start. ``tol`` lies far above the rounding of the shifted keys;
-    within it of s_i - epsilon the closed test itself decides. The window
-    ends need no search: fl(s_j - s_i) <= epsilon holds exactly when
-    lo[j] <= i, so hi[i] counts the j with lo[j] <= i.
+    where a key lies within it of keys[i] - epsilon, the closed test itself
+    settles the start of i by bisection. The window ends need no search:
+    fl(s_j - s_i) <= epsilon holds exactly when lo[j] <= i, so hi[i] counts
+    the j with lo[j] <= i.
     """
     rows, n = s.shape
     low, width = s[:, 0].min(), s[:, -1].max() - s[:, 0].min()
@@ -234,8 +220,17 @@ def _windows(s: np.ndarray, epsilon: float) -> tuple[np.ndarray, np.ndarray]:
     keys = ((s - low) + span * np.arange(rows)[:, None]).ravel()
     tol = 2.0**-48 * span * rows
     flat = s.ravel()
-    # first neighbour: first j with fl(s_i - s_j) <= epsilon
-    lo = _edge(keys, -epsilon, tol, lambda i, j: flat[i] - flat[j] <= epsilon)
+    # first neighbour: first j with fl(s_i - s_j) <= epsilon, which is <= i
+    lo = np.searchsorted(keys, keys - (epsilon + tol))
+    i = np.flatnonzero(keys[lo] <= keys - (epsilon - tol))
+    a, b = lo[i], np.searchsorted(keys, keys[i] - (epsilon - tol), "right")
+    while i.size:
+        mid = (a + b) >> 1
+        ok = flat[i] - flat[mid] <= epsilon
+        a, b = np.where(ok, a, mid + 1), np.where(ok, mid, b)
+        done = a == b
+        lo[i[done]] = a[done]
+        i, a, b = i[~done], a[~done], b[~done]
     # every lo[j] lies in j's own row, so the count holds on flat indices
     return lo, np.bincount(lo, minlength=lo.size).cumsum()
 

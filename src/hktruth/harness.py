@@ -30,7 +30,7 @@ from typing import Iterable, Iterator, Sequence
 import numpy as np
 
 from . import dynamics as dyn
-from .bounds import NoiseBounds, band_slack, bounds_for_config, steered_noise
+from .bounds import STEERED_DELTA, NoiseBounds, band_slack, bounds_for_config, steered_noise
 from .dynamics import ModelConfig
 
 __all__ = [
@@ -81,7 +81,7 @@ class RunSpec:
         dyn._check_int("tail_window", self.tail_window, 1, self.horizon)
         dyn._check_int("seed", self.seed, 0)
         if self.mode == MODE_STEERED and self.config.delta <= 0.0:
-            raise ValueError("steered mode requires delta > 0")
+            raise ValueError(STEERED_DELTA.format(self.config.delta))
         if isinstance(self.initial, str):
             if self.initial != "uniform-random":
                 raise ValueError(
@@ -136,7 +136,7 @@ def draw_noise(
     ``n`` may be a shape, and ``out`` an array of that shape to draw into.
     The rows of a ``(k, n)`` draw are the values of k successive draws of n.
     """
-    dyn._check_delta(delta)
+    delta = dyn._check_real("delta", delta, "[0, inf)")
     u = rng.random(n, out=out)
     return np.multiply(delta, 2.0 * u - 1.0, out=u)
 

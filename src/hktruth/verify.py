@@ -91,12 +91,15 @@ def sample_admissible_config(
 ) -> ModelConfig:
     """Random homogeneous-alpha config whose delta is strictly admissible.
 
-    ``delta_frac`` scales delta into (0, delta_lower); ``min_delta``
-    rejects configs whose admissible range is too small to iterate in
-    reasonable time (the steered walk needs about 2/delta steps). The
-    agent count is drawn from [2, n_max], so ``n_max`` must be >= 2.
+    ``delta_frac``, two fractions in [0, 1], scales delta into (0, delta_lower);
+    ``min_delta`` >= 0 rejects configs whose admissible range is too small
+    to iterate in reasonable time (the steered walk needs about 2/delta
+    steps). The agent count is drawn from [2, n_max], so ``n_max`` >= 2.
     """
     dyn._check_int("n_max", n_max, 2)
+    low, high = (dyn._check_real(f"delta_frac[{i}]", f, "[0, 1]")
+                 for i, f in enumerate(delta_frac))
+    min_delta = dyn._check_real("min_delta", min_delta, "[0, inf)")
     for _ in range(SAMPLE_TRIES):
         n = int(rng.integers(2, n_max + 1))
         m = int(rng.integers(1, n + 1))
@@ -104,7 +107,7 @@ def sample_admissible_config(
         epsilon = float(rng.uniform(0.1, 1.0))
         truth = float(rng.random())
         nb = compute_bounds(n, m, alpha, epsilon, delta=0.0)
-        delta = float(nb.delta_lower * rng.uniform(*delta_frac))
+        delta = float(nb.delta_lower * rng.uniform(low, high))
         if delta <= min_delta:
             continue
         seekers = [int(i) for i in rng.permutation(n)[:m]]
@@ -183,7 +186,7 @@ def check_quarter_bands(
     of 0 is skipped; a negative or NaN delta raises ValueError.
     """
     rng = _rng(seed, 0, draws=draws)
-    dyn._check_delta(delta)
+    delta = dyn._check_real("delta", delta, "[0, inf)")
     if delta == 0.0:
         return SuiteResult(
             "noise-quarter-bands", "skip", 0, None, "delta = 0 has no quarter bands"

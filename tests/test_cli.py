@@ -344,7 +344,8 @@ class TestVerifyCommand:
     def test_library_value_error_is_a_usage_error(self, capsys):
         # ModelConfig raises ValueError inside the library; main maps it to exit 1
         assert main(["verify", "--epsilon", "1.5", "--trials", "10", "--draws", "100"]) == 1
-        assert "hktruth: error: confidence threshold epsilon" in capsys.readouterr().err
+        assert ("hktruth: error: epsilon must be a real number in (0, 1], got 1.5"
+                in capsys.readouterr().err)
 
     def test_clamp_fault_detected(self, capsys, monkeypatch):
         monkeypatch.setattr(hktruth.dynamics, "clamp_vector", lambda values: values)
@@ -417,7 +418,7 @@ class TestSweepCommand:
         assert main(["sweep", "--epsilons", "0.2,0.3,1.5", "--runs", "20", "--horizon", "5000",
                      "--output", str(out)]) == 1
         assert ("hktruth: error: grid point (delta=0.02, alpha=0.5, m=10, epsilon=1.5) is invalid: "
-                "confidence threshold epsilon must lie in (0, 1], got 1.5"
+                "epsilon must be a real number in (0, 1], got 1.5"
                 ) in capsys.readouterr().err
         assert calls == []
         assert not out.exists()
@@ -510,7 +511,8 @@ class TestConfigFile:
                      id="seed = -1---seed must be >= 0"),
         ("init = 0.1,zz", "config key init expects comma-separated numbers"),
         ("seekers = 1,x", "config key seekers expects comma-separated integers"),
-        ("n = abc", "config key n = 'abc' is not a number"),
+        ("n = abc", "config key n = 'abc' is not an integer"),
+        ("n = 2.5", "config key n = '2.5' is not an integer"),
     ])
     def test_bad_value_fails_every_command(self, tmp_path, capsys, command, line, message):
         # a command that does not use a key still rejects a bad value for it

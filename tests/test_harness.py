@@ -93,7 +93,7 @@ class TestDrawNoise:
     @pytest.mark.parametrize("delta", [float("nan"), float("inf")])
     def test_non_finite_delta_rejected(self, delta):
         rng = np.random.Generator(np.random.PCG64(0))
-        with pytest.raises(ValueError, match="must be finite and >= 0"):
+        with pytest.raises(ValueError, match=r"^delta must be a real number in \[0, inf\), got"):
             draw_noise(rng, 3, delta)
 
 
@@ -130,7 +130,7 @@ class TestRunSpecValidation:
     def test_steered_needs_positive_delta(self):
         cfg = dataclasses.replace(REF_CONFIG)
         cfg = ModelConfig(cfg.n, cfg.epsilon, cfg.truth, 0.5, range(10), 0.0)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^steered noise requires delta > 0, got 0\.0$"):
             make_spec(config=cfg, mode=MODE_STEERED)
 
     def test_explicit_initial_validated(self):

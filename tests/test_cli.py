@@ -92,6 +92,23 @@ ARTIFACT_DIGESTS = [
         "sweep.csv": "97733f1ea1136f83c304e30499b06fc5d1173424a06f4923203426daf67d1f54",
         "stdout": "f8cc7beb1515342b323fbe33d2bce6f5439f30191a5f0a8a609c6fa427fa1860",
     }),
+    # n = 300 runs the sorted-window kernel (n > _DENSE_MAX_N) and its metrics
+    (["simulate", "--n", "300", "--m", "150", "--seed", "5", "--horizon", "60",
+      "--full-states"], {
+        "manifest.json": "416468db0486995e901fdc865e76509a061e861861519da4658f85d6c6f4302a",
+        "metrics.csv": "03c9442bef42f06d28ef9db1ecc365aac73448912f0e6b183ac758fef4b37890",
+        "states.csv": "9e0909f7a2610e405c28cc2b6d0272a186746b2cd0958281874725623b032442",
+        "stdout": "3bfcd853b4a41ad9be224ea6f5644f0f8ee057a7b3c0835fbb5466222ce57b09",
+    }),
+    (["ensemble", "--n", "300", "--seekers", "3,17,42,100,101,250,299", "--runs", "3",
+      "--seed", "7", "--horizon", "80", "--per-run"], {
+        "manifest.json": "7741e48dccc556980b5b67e8f1f1f6db663212aabbc0e3bf3c368d3aeb5b26c1",
+        "run_0000.csv": "847a690a43afd08144fb533c5c644a3b7b524b6e065bb47cbe01bb0ef12fd282",
+        "run_0001.csv": "0fa33501f6cda2b4f61304193522e809e411a3b12b37e486747163a7c644d200",
+        "run_0002.csv": "d51d8275f1cbb737aec5a85f48a18013ebc390548c3e692c7e37e5eeb99d4aaa",
+        "summary.json": "8a02dc5a34897e49488eb855ed35d0cb323760f5a385170c84ed6d4794569a25",
+        "stdout": "377b6e2855a150db5d8b067772de17e3ac40cb711e155b09765f7d715136e45d",
+    }),
     (["bounds", "--delta", "0.02"], {
         "stdout": "3193de7666955f099269006957dbaee6051ea75cb084b2a98515a5636a086aeb",
     }),

@@ -153,6 +153,18 @@ class TestGoldenDigests:
         if out.exists():
             assert read_manifest(out / "manifest.json")["version"] == hktruth.__version__
 
+    def test_large_n_bytes_do_not_depend_on_the_blas_kernel(self):
+        # the sorted-window kernel and the metrics call no BLAS, so their bytes
+        # hold under another CPU's OpenBLAS kernel; the dense kernel's matmul
+        # does not, and the n <= 20 digests differ under Sandybridge
+        tests = ["tests/test_dynamics.py::TestNeighborMeans::test_window_kernel_bits_are_pinned",
+                 *(f"tests/test_cli.py::TestGoldenDigests::test_artifact_digests[{' '.join(argv[:3])}]"
+                   for argv, _ in ARTIFACT_DIGESTS if argv[1:3] == ["--n", "300"])]
+        proc = subprocess.run([sys.executable, "-m", "pytest", "-q", *tests],
+                              cwd=Path(__file__).parents[1], capture_output=True, text=True,
+                              env={**os.environ, "OPENBLAS_CORETYPE": "Sandybridge"})
+        assert f"{len(tests)} passed" in proc.stdout, proc.stdout + proc.stderr
+
 
 class TestBoundsCommand:
     def test_reference_json(self, capsys):

@@ -489,20 +489,23 @@ class TestDeviation:
 
 
 class TestSubsetDeviations:
-    def test_matches_the_oracle_on_a_batch_with_nan_for_empty_subsets(self):
+    @pytest.mark.parametrize("shape", [(), (3,), (2, 3)], ids=["(n,)", "(T, n)", "(R, T, n)"])
+    @pytest.mark.parametrize("n,seekers", [
+        (5, []), (5, [1, 3]), (5, range(5)),
+        # above _DENSE_MAX_N: none, all, a prefix and a scattered set
+        (300, []), (300, range(300)), (300, range(40)), (300, [0, 7, 128, 129, 200, 299]),
+    ])
+    def test_matches_the_oracle_on_a_batch_with_nan_for_empty_subsets(self, n, seekers, shape):
         rng = np.random.Generator(np.random.PCG64(23))
-        for seekers in ([], [1, 3], range(5)):
-            cfg = make_config(n=5, seekers=seekers)
-            others = [i for i in range(5) if i not in cfg.seekers]
-            xs = rng.random((2, 3, 5))
-            d_v, d_s, d_sbar = subset_deviations(xs, cfg)
-            assert d_v.shape == d_s.shape == d_sbar.shape == (2, 3)
-            for r in range(2):
-                for t in range(3):
-                    x = xs[r, t]
-                    expected = [deviation(x, subset, cfg.truth) if subset else np.nan
-                                for subset in (range(5), sorted(cfg.seekers), others)]
-                    np.testing.assert_array_equal([d_v[r, t], d_s[r, t], d_sbar[r, t]], expected)
+        cfg = make_config(n=n, seekers=seekers)
+        others = [i for i in range(n) if i not in cfg.seekers]
+        xs = rng.random((*shape, n))
+        d_v, d_s, d_sbar = subset_deviations(xs, cfg)
+        assert d_v.shape == d_s.shape == d_sbar.shape == shape
+        for at in np.ndindex(shape):
+            expected = [deviation(xs[at], subset, cfg.truth) if subset else np.nan
+                        for subset in (range(n), sorted(cfg.seekers), others)]
+            np.testing.assert_array_equal([d_v[at], d_s[at], d_sbar[at]], expected)
 
 
 class TestValidateState:

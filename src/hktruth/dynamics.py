@@ -120,6 +120,16 @@ class ModelConfig:
         return mask
 
     @cached_property
+    def seeker_index(self) -> np.ndarray:
+        """Indices of the seekers, ascending."""
+        return np.flatnonzero(self.seeker_mask)
+
+    @cached_property
+    def other_index(self) -> np.ndarray:
+        """Indices of the agents that are not seekers, ascending."""
+        return np.flatnonzero(~self.seeker_mask)
+
+    @cached_property
     def effective_alpha(self) -> np.ndarray:
         """Per-agent attraction actually applied: alpha[i] for seekers, else 0."""
         eff = np.zeros(self.n)
@@ -205,32 +215,37 @@ def _windows(s: np.ndarray, epsilon: float) -> tuple[np.ndarray, np.ndarray]:
     j of its row with |fl(s_j - s_i)| <= epsilon, since fl(s_j - s_i) is
     monotone in s_j. The rows are laid end to end as keys, each shifted
     clear of its neighbours' windows, so one ``searchsorted`` finds every
-    window start. ``tol`` lies far above the rounding of the shifted keys;
-    where a key lies within it of keys[i] - epsilon, the closed test itself
-    settles the start of i by bisection. The window ends need no search:
-    fl(s_j - s_i) <= epsilon holds exactly when lo[j] <= i, so hi[i] counts
-    the j with lo[j] <= i.
+    window start; a single row needs no shift. ``tol`` lies far above the
+    rounding of the shifted keys; where a key lies within it of
+    keys[i] - epsilon, the closed test itself settles the start of i by
+    bisection. The window ends need no search: fl(s_j - s_i) <= epsilon
+    holds exactly when lo[j] <= i, so hi[i] counts the j with lo[j] <= i.
     """
     rows, n = s.shape
-    low, width = s[:, 0].min(), s[:, -1].max() - s[:, 0].min()
+    low = s[:, 0].min()
+    width = s[:, -1].max() - low
     # no |fl(s_j - s_i)| exceeds the width, so this cap keeps every window,
     # and keeps 2*epsilon finite for an epsilon near the float maximum
     epsilon = min(epsilon, width)
     span = width + 2.0 * epsilon + 1.0
-    keys = ((s - low) + span * np.arange(rows)[:, None]).ravel()
+    keys = s - low
+    if rows > 1:
+        keys += span * np.arange(rows)[:, None]
+    keys = keys.ravel()
     tol = 2.0**-48 * span * rows
     flat = s.ravel()
     # first neighbour: first j with fl(s_i - s_j) <= epsilon, which is <= i
     lo = np.searchsorted(keys, keys - (epsilon + tol))
     i = np.flatnonzero(keys[lo] <= keys - (epsilon - tol))
-    a, b = lo[i], np.searchsorted(keys, keys[i] - (epsilon - tol), "right")
-    while i.size:
-        mid = (a + b) >> 1
-        ok = flat[i] - flat[mid] <= epsilon
-        a, b = np.where(ok, a, mid + 1), np.where(ok, mid, b)
-        done = a == b
-        lo[i[done]] = a[done]
-        i, a, b = i[~done], a[~done], b[~done]
+    if i.size:
+        a, b = lo[i], np.searchsorted(keys, keys[i] - (epsilon - tol), "right")
+        while i.size:
+            mid = (a + b) >> 1
+            ok = flat[i] - flat[mid] <= epsilon
+            a, b = np.where(ok, a, mid + 1), np.where(ok, mid, b)
+            done = a == b
+            lo[i[done]] = a[done]
+            i, a, b = i[~done], a[~done], b[~done]
     # every lo[j] lies in j's own row, so the count holds on flat indices
     return lo, np.bincount(lo, minlength=lo.size).cumsum()
 
@@ -240,7 +255,10 @@ def _window_means(x: np.ndarray, epsilon: float) -> np.ndarray:
     n = x.shape[-1]
     rows = x.size // n
     # flat position of each row's k-th smallest opinion
-    where = (np.argsort(x, axis=-1).reshape(rows, n) + n * np.arange(rows)[:, None]).ravel()
+    where = np.argsort(x, axis=-1).reshape(rows, n)
+    if rows > 1:
+        where += n * np.arange(rows)[:, None]
+    where = where.ravel()
     s = x.ravel()[where].reshape(rows, n)
     lo, hi = _windows(s, epsilon)
     # prefix sums re-centred on each row's middle opinion, with a leading 0
@@ -249,8 +267,11 @@ def _window_means(x: np.ndarray, epsilon: float) -> np.ndarray:
     prefix = np.zeros((rows, n + 1))
     np.cumsum(s - centre, axis=-1, out=prefix[:, 1:])
     prefix = prefix.ravel()
-    row = lo // n
-    sums = prefix[hi + row] - prefix[lo + row]
+    if rows > 1:
+        row = lo // n
+        sums = prefix[hi + row] - prefix[lo + row]
+    else:
+        sums = prefix[hi] - prefix[lo]
     flat = s.ravel()
     out = np.empty(x.size)
     means = centre + (sums / (hi - lo)).reshape(rows, n)
@@ -313,16 +334,19 @@ def _step(
     """
     means = neighbor_means(x, config.epsilon)
     # means + a*(truth - means) cannot leave [min(means, truth), max(...)]
-    # even under rounding, unlike the textbook a*truth + (1-a)*means form.
-    targets = means + config.effective_alpha * (config.truth - means)
+    # even under rounding, unlike the textbook a*truth + (1-a)*means form;
+    # built in one buffer, each operation as commutative as the form above
+    targets = np.subtract(config.truth, means)
+    targets *= config.effective_alpha
+    targets += means
     # full attraction lands on the truth exactly, not within an ulp of it
     if config.full_attraction.size:
         targets[..., config.full_attraction] = config.truth
     if noise is None:
         return targets
-    if callable(noise):
-        noise = noise(means, config)
-    return clamp_vector(targets + noise)
+    targets += noise(means, config) if callable(noise) else noise
+    # not in place: an in-place clip of one element turns -0.0 into +0.0
+    return clamp_vector(targets)
 
 
 def step(
@@ -349,10 +373,18 @@ def subset_deviations(
 
     Returns (d_v, d_s, d_sbar), each reduced over the last axis of ``xs``,
     whose leading axes (runs, steps) are kept. A subset with no agents
-    gives NaN.
+    gives NaN, and d_v is the larger of the two subset maxima. Above
+    ``_DENSE_MAX_N`` agents the subsets are read through the config's cached
+    indices (``np.take``): a boolean-mask gather costs about five times as
+    much there, but it is the faster read of many short rows, so it stays
+    below. Both reads give the same bits.
     """
     d = np.abs(xs - config.truth)
-    mask = config.seeker_mask
-    d_s = d[..., mask].max(axis=-1) if config.m >= 1 else np.full(d.shape[:-1], np.nan)
-    d_sbar = d[..., ~mask].max(axis=-1) if config.m < config.n else np.full(d.shape[:-1], np.nan)
-    return d.max(axis=-1), d_s, d_sbar
+    if config.n > _DENSE_MAX_N:
+        seekers, others = d.take(config.seeker_index, axis=-1), d.take(config.other_index, axis=-1)
+    else:
+        seekers, others = d[..., config.seeker_mask], d[..., ~config.seeker_mask]
+    nan = np.full(d.shape[:-1], np.nan)
+    d_s = seekers.max(axis=-1) if config.m >= 1 else nan
+    d_sbar = others.max(axis=-1) if config.m < config.n else nan
+    return np.fmax(d_s, d_sbar), d_s, d_sbar

@@ -138,7 +138,11 @@ def draw_noise(
     """
     delta = dyn._check_real("delta", delta, "[0, inf)")
     u = rng.random(n, out=out)
-    return np.multiply(delta, 2.0 * u - 1.0, out=u)
+    # in place, the same operations as delta * (2.0 * u - 1.0)
+    u *= 2.0
+    u -= 1.0
+    u *= delta
+    return u
 
 
 def _initial_state(spec: RunSpec, rng: np.random.Generator) -> np.ndarray:

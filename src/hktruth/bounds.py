@@ -16,7 +16,7 @@ convergence argument: a deterministic steered-noise protocol that drags
 every agent toward the truth, and the worst-case number of steered steps
 needed from any start.
 
-Everything here is stateless; operations that require a homogeneous
+Everything here is stateless; operations that require a common seeker
 attraction strength or at least one seeker refuse configs that lack them.
 """
 
@@ -77,10 +77,15 @@ def compute_bounds(n: int, m: int, alpha: float, epsilon: float, delta: float) -
 
 
 def bounds_for_config(config: ModelConfig) -> NoiseBounds:
-    """Bounds for a full config; requires homogeneous alpha and >= 1 seeker."""
-    alpha = config.homogeneous_alpha()
-    if alpha is None:
-        raise ValueError("bound formulas require a homogeneous alpha (all agents equal)")
+    """Bounds for a full config; requires >= 1 seeker, every seeker with the same alpha.
+
+    Only the seekers' attraction takes effect, so the other agents' alpha
+    entries do not enter the bounds.
+    """
+    alpha = config.seeker_alpha
+    # with no seeker, compute_bounds refuses m = 0 before it reads alpha
+    if alpha is None and config.m >= 1:
+        raise ValueError("bound formulas require a homogeneous alpha (all seekers equal)")
     return compute_bounds(config.n, config.m, alpha, config.epsilon, config.delta)
 
 

@@ -300,7 +300,7 @@ def cmd_bounds(settings: dict[str, Any], args: argparse.Namespace) -> int:
     payload = {
         "n": config.n,
         "m": config.m,
-        "alpha": config.homogeneous_alpha(),
+        "alpha": config.seeker_alpha,
         "epsilon": config.epsilon,
         "delta": config.delta,
         **_bounds_dict(bounds_for_config(config)),

@@ -130,6 +130,12 @@ class ModelConfig:
         return np.flatnonzero(~self.seeker_mask)
 
     @cached_property
+    def seeker_alpha(self) -> float | None:
+        """The attraction strength every seeker shares: None if they differ or there is none."""
+        alphas = {self.alpha[i] for i in self.seekers}
+        return alphas.pop() if len(alphas) == 1 else None
+
+    @cached_property
     def effective_alpha(self) -> np.ndarray:
         """Per-agent attraction actually applied: alpha[i] for seekers, else 0."""
         eff = np.zeros(self.n)
@@ -171,7 +177,10 @@ def _check_real(name: str, value: object, interval: str) -> float:
     if (isinstance(x, (float, int, np.floating, np.integer)) and not isinstance(x, bool)
             and (low <= x if interval[0] == "[" else low < x)
             and (x <= high if interval[-1] == "]" else x < high)):
-        return float(x)
+        try:
+            return float(x)
+        except OverflowError:  # an int beyond the float range
+            pass
     raise ValueError(f"{name} must be a real number in {interval}, got {value!r}")
 
 

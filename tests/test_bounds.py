@@ -90,6 +90,11 @@ class TestBoundsForConfig:
         with pytest.raises(ValueError, match="homogeneous"):
             bounds_for_config(cfg)
 
+    def test_reads_only_the_seekers_alpha(self):
+        # the non-seeker's 0.9 takes no effect, so the bounds are the scalar config's
+        cfg = ModelConfig(3, 0.2, 0.8, [0.5, 0.5, 0.9], [0, 1], 0.01)
+        assert bounds_for_config(cfg) == bounds_for_config(ModelConfig(3, 0.2, 0.8, 0.5, [0, 1], 0.01))
+
     def test_requires_a_seeker(self):
         cfg = ModelConfig(3, 0.2, 0.8, 0.5, [], 0.01)
         with pytest.raises(ValueError, match=r"^m must be an integer in \[1, 3\], got 0"):

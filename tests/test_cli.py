@@ -195,6 +195,12 @@ class TestBoundsCommand:
         assert main(["bounds", "--n", "3", "--m", "2", "--alpha", "0.5,0.6,0.5"]) == 1
         assert "homogeneous" in capsys.readouterr().err
 
+    def test_a_non_seekers_alpha_takes_no_part(self, capsys):
+        assert main(["bounds", "--n", "3", "--m", "2", "--alpha", "0.5,0.5,0.9"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert main(["bounds", "--n", "3", "--m", "2", "--alpha", "0.5"]) == 0
+        assert payload == json.loads(capsys.readouterr().out)
+
 
 class TestSimulateCommand:
     def test_writes_metrics_states_manifest(self, tmp_path, capsys):

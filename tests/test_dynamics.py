@@ -52,6 +52,13 @@ class TestModelConfig:
         cfg = make_config(n=3, alpha=[0.5, 0.9, 0.7], seekers=[1])
         np.testing.assert_array_equal(cfg.effective_alpha, [0.0, 0.9, 0.0])
         assert cfg.homogeneous_alpha() is None
+        assert cfg.seeker_alpha == 0.9
+
+    @pytest.mark.parametrize("alpha, seekers, expected", [
+        ([0.5, 0.5, 0.9], [0, 1], 0.5), ([0.5, 0.6, 0.5], [0, 1], None), (0.5, [], None),
+    ])
+    def test_seeker_alpha_is_the_seekers_common_alpha(self, alpha, seekers, expected):
+        assert make_config(n=3, alpha=alpha, seekers=seekers).seeker_alpha == expected
 
     def test_empty_seeker_set_is_allowed(self):
         cfg = make_config(seekers=[])

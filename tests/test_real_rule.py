@@ -87,6 +87,16 @@ def test_boundary_refuses_what_is_not_a_real_number_in_range(call, value, messag
         call(value)
 
 
+@pytest.mark.parametrize("call, field", [pytest.param(call, field, id=name)
+                                         for name, call, field, interval in BOUNDARIES
+                                         if interval == "[0, inf)"])
+def test_an_int_beyond_the_float_range_is_refused(call, field):
+    # it lies in [0, inf), but float() cannot hold it
+    message = f"{field} must be a real number in [0, inf), got {10**400!r}"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call(10**400)
+
+
 @pytest.mark.parametrize("kind", [np.float32, np.array])
 @pytest.mark.parametrize("call", [pytest.param(call, id=name)
                                   for name, call, _, _ in BOUNDARIES + SCALAR_ALPHA])
@@ -117,6 +127,8 @@ def test_checked_values_are_stored_as_floats():
     ({"delta_frac": (0.5, 2.0)}, "delta_frac[1] must be a real number in [0, 1], got 2.0"),
     ({"delta_frac": (-0.1, 0.5)}, "delta_frac[0] must be a real number in [0, 1], got -0.1"),
     ({"min_delta": math.nan}, "min_delta must be a real number in [0, inf), got nan"),
+    ({"delta_frac": (0.9, 0.5)},
+     "delta_frac must satisfy delta_frac[0] <= delta_frac[1], got (0.9, 0.5)"),
 ])
 def test_sampler_checks_its_floats_before_it_draws(kwargs, message):
     rng = _rng()

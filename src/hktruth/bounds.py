@@ -102,7 +102,7 @@ def in_absorbing_band(x: np.ndarray, config: ModelConfig) -> bool:
     """True iff every seeker is within delta1 and every non-seeker within delta2 of the truth.
 
     The bounds are the config's own (``bounds_for_config``), so a config
-    without a seeker or with heterogeneous alpha raises. Once a profile
+    without a seeker or with seekers whose alphas differ raises. Once a profile
     satisfies this and delta is admissible, no sequence of bounded noise
     vectors can break it (closed comparisons throughout). An empty
     non-seeker set is vacuously within delta2.

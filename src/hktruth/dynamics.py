@@ -381,14 +381,17 @@ def subset_deviations(
     """Worst distance to the truth over all agents, the seekers and the rest.
 
     Returns (d_v, d_s, d_sbar), each reduced over the last axis of ``xs``,
-    whose leading axes (runs, steps) are kept. A subset with no agents
-    gives NaN, and d_v is the larger of the two subset maxima. Above
-    ``_DENSE_MAX_N`` agents the subsets are read through the config's cached
-    indices (``np.take``): a boolean-mask gather costs about five times as
-    much there, but it is the faster read of many short rows, so it stays
-    below. Both reads give the same bits.
+    whose leading axes (runs, steps) are kept; ``xs`` holds opinions, so
+    it is finite. A subset with no agents gives NaN, and d_v is the larger
+    of the two subset maxima. Above ``_DENSE_MAX_N`` agents the subsets
+    are read through the config's cached indices (``np.take``): a
+    boolean-mask gather costs about five times as much there, but it is
+    the faster read of many short rows, so it stays below. Both reads give
+    the same bits.
     """
-    d = np.abs(xs - config.truth)
+    # one block-sized temporary, not two: each one of more than ~128 KB costs page faults
+    d = np.subtract(xs, config.truth)
+    np.abs(d, out=d)
     if config.n > _DENSE_MAX_N:
         seekers, others = d.take(config.seeker_index, axis=-1), d.take(config.other_index, axis=-1)
     else:

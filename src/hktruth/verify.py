@@ -91,11 +91,10 @@ def sample_admissible_config(
 ) -> ModelConfig:
     """Random homogeneous-alpha config whose delta is strictly admissible.
 
-    ``delta_frac``, two fractions in [0, 1] in ascending order, scales
-    delta into (0, delta_lower); ``min_delta`` >= 0 rejects configs whose
-    admissible range is too small to iterate in reasonable time (the
-    steered walk needs about 2/delta steps). The agent count is drawn from
-    [2, n_max], so ``n_max`` >= 2.
+    ``delta_frac``, two ascending fractions in [0, 1], scales delta into (0, delta_lower);
+    ``min_delta`` >= 0 rejects configs whose admissible range is too small
+    to iterate in reasonable time (the steered walk needs about 2/delta
+    steps). The agent count is drawn from [2, n_max], so ``n_max`` >= 2.
     """
     dyn._check_int("n_max", n_max, 2)
     low, high = (dyn._check_real(f"delta_frac[{i}]", f, "[0, 1]")

@@ -20,20 +20,22 @@ every step.
 The neighbourhood of an agent is a contiguous window of the sorted
 profile, and ``neighbor_means`` picks its kernel by ``n``. Up to
 ``_DENSE_MAX_N`` agents it sums each window with a dense pairwise mask,
-O(n^2) time and memory per row. Above that it finds each window's start
-by ``searchsorted`` on the sorted row and sums the windows with prefix
-sums, in O(n log n) time and O(n) memory. The window ends need no second
-search: fl(s_j - s_i) <= epsilon holds exactly when s_i lies at or past
-the start of s_j's window. Both kernels apply the same exact closed test,
-so they find the same neighbours and the same hull; the two sums differ
-by O(n * 2^-52). Either way a row's means are the same alone or in a
-batch.
+O(n^2) time and memory per row, unless every row lies within epsilon, as
+a converged group does: then each row is one neighbourhood, its mask is
+all ones, and a cached ones matrix stands in for it. Above that it finds
+each window's start by ``searchsorted`` on the sorted row and sums the
+windows with prefix sums, in O(n log n) time and O(n) memory. The window
+ends need no second search: fl(s_j - s_i) <= epsilon holds exactly when
+s_i lies at or past the start of s_j's window. Both kernels apply the
+same exact closed test, so they find the same neighbours and the same
+hull; the two sums differ by O(n * 2^-52). Either way a row's means are
+the same alone or in a batch.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -171,16 +173,20 @@ def _check_real(name: str, value: object, interval: str) -> float:
     A real number is an int, a float, a NumPy integer or floating scalar, or
     a 0-d array of one; never a bool, a string, a complex or a Fraction.
     ``interval`` is written as the message prints it, "(0, 1]" or "[0, inf)".
+    Both the value and its float must lie in it, so an int or a long double
+    beyond the float range is refused, and so is one that rounds to 0 at an
+    open end.
     """
     x = value[()] if isinstance(value, np.ndarray) and value.ndim == 0 else value
     low, high = (float(end) for end in interval[1:-1].split(", "))
-    if (isinstance(x, (float, int, np.floating, np.integer)) and not isinstance(x, bool)
-            and (low <= x if interval[0] == "[" else low < x)
-            and (x <= high if interval[-1] == "]" else x < high)):
+    if isinstance(x, (float, int, np.floating, np.integer)) and not isinstance(x, bool):
         try:
-            return float(x)
+            stored = float(x)
         except OverflowError:  # an int beyond the float range
-            pass
+            stored = np.nan
+        if all((low <= v if interval[0] == "[" else low < v)
+               and (v <= high if interval[-1] == "]" else v < high) for v in (x, stored)):
+            return stored
     raise ValueError(f"{name} must be a real number in {interval}, got {value!r}")
 
 
@@ -288,6 +294,14 @@ def _window_means(x: np.ndarray, epsilon: float) -> np.ndarray:
     return out.reshape(x.shape)
 
 
+@lru_cache(maxsize=None)  # one per n <= _DENSE_MAX_N
+def _ones(n: int) -> np.ndarray:
+    """The mask of a row within epsilon, n x n, as float64: what matmul casts a bool mask to."""
+    ones = np.ones((n, n))
+    ones.flags.writeable = False
+    return ones
+
+
 def neighbor_means(x: np.ndarray, epsilon: float) -> np.ndarray:
     """Neighborhood average for every agent of a raw opinion vector.
 
@@ -307,12 +321,27 @@ def neighbor_means(x: np.ndarray, epsilon: float) -> np.ndarray:
     (``_window_means``), which needs no pairwise arrays. The two sums
     differ by O(n * 2^-52); the windows are the same. ``epsilon`` must be
     > 0; inf makes every agent a neighbour of every other.
+
+    Dense rows whose spread fl(max - min) is within epsilon take a
+    shortcut, when all rows of ``x`` do. By the same monotonicity no
+    |fl(x_j - x_i)| exceeds the spread, so every pair passes the closed
+    test: the mask is all ones, each count is n and the hull is the row's
+    ends. The sum is then the same matmul against a float ones matrix,
+    which is what the bool mask is cast to, so the means keep their bits.
     """
     if not epsilon > 0.0:
         raise ValueError(f"confidence threshold epsilon must be > 0, got {epsilon!r}")
     n = x.shape[-1]
     if n > _DENSE_MAX_N:
         return _window_means(x, epsilon)
+    ordered = x.copy()
+    ordered.sort()
+    # row 0 first: a batch that is not one group mostly fails there, for one scalar compare
+    if (x.size and ordered.item(n - 1) - ordered.item(0) <= epsilon and (
+            x.size == n or np.maximum.reduce(ordered[..., -1] - ordered[..., 0], None) <= epsilon)):
+        means = (_ones(n) @ x[..., None])[..., 0] / n
+        # per-agent bounds: broadcast (..., 1) bounds can flip the sign of a zero mean
+        return means.clip(ordered[..., :1].repeat(n, -1), ordered[..., -1:].repeat(n, -1))
     diff = x[..., None, :] - x[..., :, None]  # diff[..., i, j] = fl(x_j - x_i)
     far_above = diff > epsilon
     above = np.add.reduce(far_above, axis=-1)
@@ -320,8 +349,6 @@ def neighbor_means(x: np.ndarray, epsilon: float) -> np.ndarray:
     below = np.add.reduce(far_above, axis=-2)
     mask = np.abs(diff) <= epsilon
     means = (mask @ x[..., None])[..., 0] / (n - below - above)
-    ordered = x.copy()
-    ordered.sort()
     ordered = ordered.reshape(-1)
     if x.size > n:  # batch row r starts at r*n in the flattened sorted opinions
         start = np.arange(0, x.size, n).reshape(x.shape[:-1] + (1,))

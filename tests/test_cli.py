@@ -165,6 +165,19 @@ class TestGoldenDigests:
                               env={**os.environ, "OPENBLAS_CORETYPE": "Sandybridge"})
         assert f"{len(tests)} passed" in proc.stdout, proc.stdout + proc.stderr
 
+    def test_one_neighbourhood_shortcut_keeps_the_mask_bits_under_another_blas_kernel(self):
+        # a group within epsilon sums against a float ones matrix in place of
+        # the cast bool mask; both must give the same matmul bits under
+        # another CPU's OpenBLAS kernel too
+        tests = [f"tests/test_dynamics.py::TestSameBitsAsTheNumpyForm::{name}" for name in (
+            "test_consensus_means_alone_and_in_a_batch",
+            "test_consensus_steps_alone_and_in_a_batch",
+            "test_a_group_within_epsilon_skips_the_pairwise_mask")]
+        proc = subprocess.run([sys.executable, "-m", "pytest", "-q", *tests],
+                              cwd=Path(__file__).parents[1], capture_output=True, text=True,
+                              env={**os.environ, "OPENBLAS_CORETYPE": "Sandybridge"})
+        assert proc.returncode == 0, proc.stdout + proc.stderr
+
 
 class TestBoundsCommand:
     def test_reference_json(self, capsys):

@@ -1,10 +1,12 @@
 from __future__ import annotations
 
 import hashlib
+import itertools
 
 import numpy as np
 import pytest
 
+import hktruth.dynamics as dyn
 from hktruth.bounds import steered_noise
 from hktruth.dynamics import (
     _DENSE_MAX_N,
@@ -228,6 +230,60 @@ def signed_zero_profile(rng, n, kind):
     return np.where((x == 0.0) & (rng.random(n) < 0.5), -0.0, x), eps
 
 
+def consensus_profiles(rng, n):
+    """Rows of n opinions at the edge of one neighbourhood, each with an epsilon.
+
+    Yields (x, epsilon, within), where ``within`` says whether the spread
+    fl(max - min) is at most epsilon: a spread below epsilon, exactly
+    epsilon and one ulp above it; equal opinions; -0.0 alone and beside
+    0.0; and opinions with signed zeros at epsilon = inf and 1e308, which
+    no spread exceeds.
+    """
+    x = rng.uniform(0.2, 0.6) + rng.uniform(0.01, 0.3) * rng.random(n)
+    spread = np.ptp(x)
+    yield x, float(spread) + 0.05, True
+    if spread:
+        yield x, spread, True
+        yield x, np.nextafter(spread, 0.0), False
+    yield np.full(n, x[0]), 5e-324, True
+    yield np.full(n, -0.0), 0.2, True
+    yield np.resize([-0.0, 0.0], n), 0.2, True
+    yield rng.choice([-0.0, 0.0], n), 0.2, True
+    signed = np.where(rng.random(n) < 0.3, -0.0, rng.random(n))
+    yield signed, np.inf, True
+    yield signed, 1e308, True
+
+
+def consensus_batches(rng, x):
+    """Two batches led by ``x``: with rows of spread 0 after it, then with a row of spread 1 too."""
+    n = x.size
+    within = np.stack([x, rng.permutation(x), np.full(n, 0.7), np.full(n, -0.0)])
+    return within, np.vstack([within, np.resize([0.0, 1.0], n)])
+
+
+def noise_of_kind(rng, kind, shape, delta):
+    """None, ``steered_noise``, or iid noise in [-delta, delta], about 30% -0.0 and 30% delta."""
+    if kind == "noise-free":
+        return None
+    if kind == "steered":
+        return steered_noise
+    noise = rng.uniform(-delta, delta, shape)
+    noise[rng.random(shape) < 0.3] = -0.0
+    noise[rng.random(shape) < 0.3] = delta
+    return noise
+
+
+def assert_steps_match_the_numpy_form(batch, cfg, noise):
+    """``_step`` on the batch and on each row, and ``step`` on each row, bit for bit."""
+    expected = numpy_form_step(batch, cfg, noise)
+    assert_same_bits(_step(batch, cfg, noise), expected)
+    for r, row in enumerate(batch):
+        row_noise = noise[r] if isinstance(noise, np.ndarray) else noise
+        assert_same_bits(_step(row, cfg, row_noise), expected[r])
+        if not callable(row_noise):
+            assert_same_bits(step(row, cfg, row_noise), expected[r])
+
+
 class TestNeighborMeans:
     def test_matches_dense_hull_alone_and_in_a_batch(self):
         rng = np.random.Generator(np.random.PCG64(17))
@@ -415,6 +471,9 @@ class TestStepNoisy:
 class TestSameBitsAsTheNumpyForm:
     # -0.0 is a legal opinion. np.maximum/np.minimum turn it into +0.0, and
     # so does an in-place clip of one element, where np.clip keeps the sign.
+    # The sign of a clipped zero also depends on the shape of the bounds:
+    # means [-0.0, -0.0] clipped to +0.0 give [0., 0.] with per-agent bounds
+    # and [-0., -0.] with bounds of shape (1,).
     @pytest.mark.parametrize("x", [[-0.0], [-0.0, -0.0], [-0.0] * 5, [-0.0, 0.0, 0.2, 1.0]])
     def test_signed_zero_profiles(self, x):
         x = np.array(x)
@@ -459,21 +518,54 @@ class TestSameBitsAsTheNumpyForm:
             truth = float(rng.choice([0.0, 1.0, rng.random()]))
             cfg = ModelConfig(n, eps, truth, alpha, seekers, float(rng.choice([0.01, 0.3])))
             batch = np.stack([x, rng.permutation(x), signed_zero_profile(rng, n, trial + 1)[0]])
-            if noise_kind == "noise-free":
-                noise = None
-            elif noise_kind == "steered":
-                noise = steered_noise
-            else:
-                noise = rng.uniform(-cfg.delta, cfg.delta, batch.shape)
-                noise[rng.random(batch.shape) < 0.3] = -0.0
-                noise[rng.random(batch.shape) < 0.3] = cfg.delta
-            expected = numpy_form_step(batch, cfg, noise)
-            assert_same_bits(_step(batch, cfg, noise), expected)
-            for r, row in enumerate(batch):
-                row_noise = noise[r] if isinstance(noise, np.ndarray) else noise
-                assert_same_bits(_step(row, cfg, row_noise), expected[r])
-                if not callable(row_noise):
-                    assert_same_bits(step(row, cfg, row_noise), expected[r])
+            noise = noise_of_kind(rng, noise_kind, batch.shape, cfg.delta)
+            assert_steps_match_the_numpy_form(batch, cfg, noise)
+
+    @pytest.mark.parametrize("n", [1, 2, 25, _DENSE_MAX_N])
+    def test_consensus_means_alone_and_in_a_batch(self, n):
+        # a batch skips the pairwise mask only when every row lies within
+        # epsilon, so the second batch, with a row of spread 1, takes the mask
+        # unless epsilon >= 1
+        rng = np.random.Generator(np.random.PCG64(37 + n))
+        for x, eps, _ in itertools.chain.from_iterable(
+                consensus_profiles(rng, n) for _ in range(20)):
+            assert_same_bits(neighbor_means(x, eps), numpy_form_neighbor_means(x, eps))
+            for batch in consensus_batches(rng, x):
+                expected = numpy_form_neighbor_means(batch, eps)
+                assert_same_bits(neighbor_means(batch, eps), expected)
+                for row, want in zip(batch, expected):
+                    assert_same_bits(neighbor_means(row, eps), want)
+        assert neighbor_means(np.empty((0, n)), 0.2).shape == (0, n)
+
+    @pytest.mark.parametrize("n", [1, 2, 25, _DENSE_MAX_N])
+    @pytest.mark.parametrize("noise_kind", ["noise-free", "iid", "steered"])
+    def test_consensus_steps_alone_and_in_a_batch(self, n, noise_kind):
+        rng = np.random.Generator(np.random.PCG64(41 + n))
+        for trial, (x, eps, _) in enumerate(itertools.chain.from_iterable(
+                consensus_profiles(rng, n) for _ in range(5))):
+            # a config's epsilon lies in (0, 1]; 1 takes in every profile
+            eps = min(eps, 1.0)
+            alpha = 1.0 if trial % 2 else [float(a) for a in rng.choice([1.0, 0.5, 0.25], n)]
+            seekers = [int(i) for i in rng.permutation(n)[: int(rng.integers(0, n + 1))]]
+            cfg = ModelConfig(n, eps, float(rng.choice([0.0, 1.0, 0.5])), alpha, seekers, 0.01)
+            for batch in consensus_batches(rng, x):
+                noise = noise_of_kind(rng, noise_kind, batch.shape, cfg.delta)
+                assert_steps_match_the_numpy_form(batch, cfg, noise)
+
+    def test_a_group_within_epsilon_skips_the_pairwise_mask(self, monkeypatch):
+        # the shortcut reads the cached ones matrix; the mask path never does
+        calls = []
+        ones = dyn._ones
+        monkeypatch.setattr(dyn, "_ones", lambda n: calls.append(n) or ones(n))
+        rng = np.random.Generator(np.random.PCG64(43))
+        for n in (1, 2, 25, _DENSE_MAX_N):
+            for x, eps, within in consensus_profiles(rng, n):
+                batch_in, batch_out = consensus_batches(rng, x)
+                for profile, shortcut in ((x, within), (batch_in, within),
+                                          (batch_out, within and (n == 1 or eps >= 1.0))):
+                    calls.clear()
+                    neighbor_means(profile, eps)
+                    assert calls == ([n] if shortcut else []), (n, eps, profile)
 
 
 class TestDeviation:

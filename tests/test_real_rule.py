@@ -97,6 +97,19 @@ def test_an_int_beyond_the_float_range_is_refused(call, field):
         call(10**400)
 
 
+@pytest.mark.parametrize("call, field, interval, value", [
+    *(pytest.param(call, field, interval, np.longdouble("1e400"), id=f"{name}-1e400")
+      for name, call, field, interval in BOUNDARIES if interval == "[0, inf)"),
+    *(pytest.param(call, field, interval, np.longdouble("1e-4000"), id=f"{name}-1e-4000")
+      for name, call, field, interval in BOUNDARIES + SCALAR_ALPHA if interval == "(0, 1]"),
+])
+def test_a_long_double_that_rounds_out_of_the_interval_is_refused(call, field, interval, value):
+    # it lies in the interval, but as a float it is inf, or 0 at an open end
+    message = f"{field} must be a real number in {interval}, got {value!r}"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call(value)
+
+
 @pytest.mark.parametrize("kind", [np.float32, np.array])
 @pytest.mark.parametrize("call", [pytest.param(call, id=name)
                                   for name, call, _, _ in BOUNDARIES + SCALAR_ALPHA])

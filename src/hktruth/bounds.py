@@ -60,8 +60,13 @@ def compute_bounds(n: int, m: int, alpha: float, epsilon: float, delta: float) -
     delta1 = n(1-alpha)delta/(m alpha) + delta
     delta2 = n delta/(m alpha) + delta
     delta_bar = max(delta1, delta2)
-    delta_lower = min(m alpha epsilon / (2n + (2m-n)alpha), m epsilon / (n + 2m))
+    delta_lower = m alpha epsilon / (2n + (2m-n)alpha)
     admissible = 0 < delta <= delta_lower
+
+    The paper states delta_lower as the min of that term and
+    m epsilon / (n + 2m). The first is the smaller for every legal alpha:
+    it is <= the second iff alpha(n + 2m) <= 2n + (2m-n)alpha, i.e. iff
+    alpha <= 1, with equality at alpha = 1. So only the first is computed.
     """
     _check_int("n", n, 1)
     _check_int("m", m, 1, n)
@@ -70,8 +75,7 @@ def compute_bounds(n: int, m: int, alpha: float, epsilon: float, delta: float) -
     delta = _check_real("delta", delta, "[0, inf)")
     delta1 = n * (1.0 - alpha) * delta / (m * alpha) + delta
     delta2 = n * delta / (m * alpha) + delta
-    delta_lower = min(m * alpha * epsilon / (2.0 * n + (2.0 * m - n) * alpha),
-                      m * epsilon / (n + 2.0 * m))
+    delta_lower = m * alpha * epsilon / (2.0 * n + (2.0 * m - n) * alpha)
     admissible = bool(0.0 < delta <= delta_lower)
     return NoiseBounds(delta1, delta2, max(delta1, delta2), delta_lower, admissible)
 

@@ -30,6 +30,10 @@ s_i lies at or past the start of s_j's window. Both kernels apply the
 same exact closed test, so they find the same neighbours and the same
 hull; the two sums differ by O(n * 2^-52). Either way a row's means are
 the same alone or in a batch.
+
+``subset_deviations`` takes the worst distances to the truth from one
+buffer of |x - truth|, signed + for the seekers and - for the rest, so it
+copies no subset out of the block.
 """
 
 from __future__ import annotations
@@ -120,16 +124,6 @@ class ModelConfig:
         mask[sorted(self.seekers)] = True
         mask.flags.writeable = False
         return mask
-
-    @cached_property
-    def seeker_index(self) -> np.ndarray:
-        """Indices of the seekers, ascending."""
-        return np.flatnonzero(self.seeker_mask)
-
-    @cached_property
-    def other_index(self) -> np.ndarray:
-        """Indices of the agents that are not seekers, ascending."""
-        return np.flatnonzero(~self.seeker_mask)
 
     @cached_property
     def seeker_alpha(self) -> float | None:
@@ -410,20 +404,18 @@ def subset_deviations(
     Returns (d_v, d_s, d_sbar), each reduced over the last axis of ``xs``,
     whose leading axes (runs, steps) are kept; ``xs`` holds opinions, so
     it is finite. A subset with no agents gives NaN, and d_v is the larger
-    of the two subset maxima. Above ``_DENSE_MAX_N`` agents the subsets
-    are read through the config's cached indices (``np.take``): a
-    boolean-mask gather costs about five times as much there, but it is
-    the faster read of many short rows, so it stays below. Both reads give
-    the same bits.
+    of the two subset maxima. Both subsets are read the same way at every
+    n, from one buffer and with no gathered copy: |xs - truth| carries a
+    seeker's sign + and every other agent's sign -, so d_s is the
+    buffer's maximum and d_sbar minus its minimum. A masked reduction
+    (``where=``) would run one inner loop per run of equal mask entries,
+    several times a gather's cost when the seekers are scattered.
     """
-    # one block-sized temporary, not two: each one of more than ~128 KB costs page faults
+    # one block-sized temporary: each one of more than ~128 KB costs page faults
     d = np.subtract(xs, config.truth)
-    np.abs(d, out=d)
-    if config.n > _DENSE_MAX_N:
-        seekers, others = d.take(config.seeker_index, axis=-1), d.take(config.other_index, axis=-1)
-    else:
-        seekers, others = d[..., config.seeker_mask], d[..., ~config.seeker_mask]
+    np.copysign(d, np.where(config.seeker_mask, 1.0, -1.0), out=d)
     nan = np.full(d.shape[:-1], np.nan)
-    d_s = seekers.max(axis=-1) if config.m >= 1 else nan
-    d_sbar = others.max(axis=-1) if config.m < config.n else nan
+    # a zero may come from either subset with either sign; + 0.0 and 0.0 - make it +0.0
+    d_s = np.maximum.reduce(d, -1) + 0.0 if config.m >= 1 else nan
+    d_sbar = 0.0 - np.minimum.reduce(d, -1) if config.m < config.n else nan
     return np.fmax(d_s, d_sbar), d_s, d_sbar

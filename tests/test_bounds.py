@@ -54,11 +54,21 @@ class TestComputeBounds:
             assert nb.delta_bar == nb.delta2
 
     def test_admissible_range_uses_min_of_both_terms(self):
-        n, m, alpha, eps = 12, 5, 0.7, 0.6
-        first = m * alpha * eps / (2 * n + (2 * m - n) * alpha)
-        second = m * eps / (n + 2 * m)
-        nb = compute_bounds(n, m, alpha, eps, 0.0)
-        assert nb.delta_lower == min(first, second)
+        # compute_bounds keeps only the first term, which is the min iff alpha <= 1:
+        # it must give the two-term min's bits, right up to alpha = 1
+        rng = np.random.Generator(np.random.PCG64(41))
+        near_one = [1.0, float(np.nextafter(1.0, 0.0))] + [1.0 - k * 2.0**-53 for k in range(2, 9)]
+        cases = [(12, 5, 0.7, 0.6)]
+        for trial in range(2000):
+            n = int(rng.integers(1, 200))
+            m = int(rng.integers(1, n + 1))
+            alpha = near_one[trial % len(near_one)] if trial % 2 else 1.0 - float(rng.random())
+            cases.append((n, m, alpha, 1.0 - float(rng.random())))
+        for n, m, alpha, eps in cases:
+            first = m * alpha * eps / (2 * n + (2 * m - n) * alpha)
+            second = m * eps / (n + 2 * m)
+            nb = compute_bounds(n, m, alpha, eps, 0.0)
+            assert nb.delta_lower == min(first, second), (n, m, alpha, eps)
 
     @pytest.mark.parametrize(
         "kwargs",

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import hashlib
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -588,11 +589,14 @@ class TestDeviation:
 
 
 class TestSubsetDeviations:
-    @pytest.mark.parametrize("shape", [(), (3,), (2, 3)], ids=["(n,)", "(T, n)", "(R, T, n)"])
+    # the last shape has more rows than n/2 for n <= 129
+    @pytest.mark.parametrize("shape", [(), (3,), (2, 3), (70, 2)],
+                             ids=["(n,)", "(T, n)", "(R, T, n)", "(R > n/2, T, n)"])
     @pytest.mark.parametrize("n,seekers", [
         (5, []), (5, [1, 3]), (5, range(5)),
         # above _DENSE_MAX_N: none, all, a prefix and a scattered set
         (300, []), (300, range(300)), (300, range(40)), (300, [0, 7, 128, 129, 200, 299]),
+        (_DENSE_MAX_N + 1, [0, 5, 64, 127, 128]),
     ])
     def test_matches_the_oracle_on_a_batch_with_nan_for_empty_subsets(self, n, seekers, shape):
         rng = np.random.Generator(np.random.PCG64(23))
@@ -605,6 +609,30 @@ class TestSubsetDeviations:
             expected = [deviation(xs[at], subset, cfg.truth) if subset else np.nan
                         for subset in (range(n), sorted(cfg.seekers), others)]
             np.testing.assert_array_equal([d_v[at], d_s[at], d_sbar[at]], expected)
+
+    @pytest.mark.parametrize("seekers", [[0], [2], [0, 2], [1, 3]])
+    def test_a_zero_distance_is_plus_zero(self, seekers):
+        # agents at the truth, of either subset, in either order: every zero is +0.0
+        cfg = make_config(n=4, seekers=seekers)
+        at_truth = [[cfg.truth] * 4, [cfg.truth, 0.5, cfg.truth, 0.9], [0.5, cfg.truth, 0.9, cfg.truth]]
+        subsets = (range(4), sorted(cfg.seekers), sorted(set(range(4)) - cfg.seekers))
+        for x in at_truth:
+            for got, subset in zip(subset_deviations(np.array(x), cfg), subsets):
+                assert got == deviation(x, subset, cfg.truth) and not np.signbit(got), (x, subset)
+
+    @pytest.mark.parametrize("shape", [(1, 32, 20_000), (50, 32, 20)])
+    def test_a_call_holds_no_gathered_copy(self, shape):
+        # the one |xs - truth| buffer and a few row-sized results, no subset copied out
+        n = shape[-1]
+        cfg = make_config(n=n, seekers=range(0, n, 3))
+        xs = np.random.Generator(np.random.PCG64(29)).random(shape)
+        tracemalloc.start()
+        try:
+            subset_deviations(xs, cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * xs.nbytes
 
 
 class TestValidateState:

@@ -20,16 +20,18 @@ every step.
 The neighbourhood of an agent is a contiguous window of the sorted
 profile, and ``neighbor_means`` picks its kernel by ``n``. Up to
 ``_DENSE_MAX_N`` agents it sums each window with a dense pairwise mask,
-O(n^2) time and memory per row, unless every row lies within epsilon, as
-a converged group does: then each row is one neighbourhood, its mask is
-all ones, and a cached ones matrix stands in for it. Above that it finds
-each window's start by ``searchsorted`` on the sorted row and sums the
-windows with prefix sums, in O(n log n) time and O(n) memory. The window
-ends need no second search: fl(s_j - s_i) <= epsilon holds exactly when
-s_i lies at or past the start of s_j's window. Both kernels apply the
-same exact closed test, so they find the same neighbours and the same
-hull; the two sums differ by O(n * 2^-52). Either way a row's means are
-the same alone or in a batch.
+O(n^2) time and memory per row. The mask and the far-above indicator are
+0/1 floats, so BLAS counts each window's ends exactly and sums it with the
+matmul a bool mask is cast to; no bool array is reduced. When every row
+lies within epsilon, as a converged group does, each row is one
+neighbourhood, its mask is all ones, and a cached ones matrix stands in
+for it. Above that it finds each window's start by ``searchsorted`` on
+the sorted row and sums the windows with prefix sums, in O(n log n) time
+and O(n) memory. The window ends need no second search: fl(s_j - s_i) <=
+epsilon holds exactly when s_i lies at or past the start of s_j's
+window. Both kernels apply the same exact closed test, so they find the
+same neighbours and the same hull; the two sums differ by O(n * 2^-52).
+Either way a row's means are the same alone or in a batch.
 
 ``subset_deviations`` takes the worst distances to the truth from one
 buffer of |x - truth|, signed + for the seekers and - for the rest, so it
@@ -296,6 +298,14 @@ def _ones(n: int) -> np.ndarray:
     return ones
 
 
+@lru_cache(maxsize=None)  # one per n <= _DENSE_MAX_N
+def _ones_vector(n: int) -> np.ndarray:
+    """n float64 ones: a matmul against them sums the rows or columns of a 0/1 float mask."""
+    ones = np.ones(n)
+    ones.flags.writeable = False
+    return ones
+
+
 def neighbor_means(x: np.ndarray, epsilon: float) -> np.ndarray:
     """Neighborhood average for every agent of a raw opinion vector.
 
@@ -315,6 +325,15 @@ def neighbor_means(x: np.ndarray, epsilon: float) -> np.ndarray:
     (``_window_means``), which needs no pairwise arrays. The two sums
     differ by O(n * 2^-52); the windows are the same. ``epsilon`` must be
     > 0; inf makes every agent a neighbour of every other.
+
+    The dense mask path holds the far-above indicator and the mask as 0/1
+    float64 arrays, the mask in the buffer of the pairwise difference.
+    ``above`` and ``below`` are BLAS products of the indicator with a
+    cached ones vector: sums of 0s and 1s below 2^53, exact in any
+    summation order. The window sum is ``mask @ x`` on the float mask,
+    which is exactly what matmul casts a bool mask to, so every output
+    bit is the bool mask's. The upper hull end ``ordered[(n - 1) - above]``
+    is read as ``ordered[::-1][above]``.
 
     Dense rows whose spread fl(max - min) is within epsilon take a
     shortcut, when all rows of ``x`` do. By the same monotonicity no
@@ -336,19 +355,30 @@ def neighbor_means(x: np.ndarray, epsilon: float) -> np.ndarray:
         means = (_ones(n) @ x[..., None])[..., 0] / n
         # per-agent bounds: broadcast (..., 1) bounds can flip the sign of a zero mean
         return means.clip(ordered[..., :1].repeat(n, -1), ordered[..., -1:].repeat(n, -1))
-    diff = x[..., None, :] - x[..., :, None]  # diff[..., i, j] = fl(x_j - x_i)
-    far_above = diff > epsilon
-    above = np.add.reduce(far_above, axis=-1)
+    # diff[..., i, j] = fl(x_j - x_i), in C order whatever the layout of x, so the mask
+    # built in its buffer takes the BLAS matmul a cast bool mask takes
+    diff = np.subtract(x[..., None, :], x[..., None], order="C")
+    far = (diff > epsilon).astype(np.float64)
+    # the counts are sums of 0s and 1s below 2^53, exact in any order, so BLAS takes them
+    ones = _ones_vector(n)
+    above = (far @ ones).astype(np.intp)
     # fl(x_i - x_j) = -fl(x_j - x_i), so column i counts the agents far below x_i
-    below = np.add.reduce(far_above, axis=-2)
-    mask = np.abs(diff) <= epsilon
-    means = (mask @ x[..., None])[..., 0] / (n - below - above)
+    below = (ones @ far).astype(np.intp)
+    del far  # the rest of the call holds one pairwise array
+    # 0s and 1s in diff's buffer: what matmul casts a bool mask to, with no cast per call
+    mask = np.less_equal(np.abs(diff, out=diff), epsilon, out=diff, casting="unsafe")
+    if x.size == n:  # one row, whatever its shape
+        means = (mask @ x.reshape(n)) / (mask @ ones)
+    else:
+        means = (mask @ x[..., None])[..., 0] / (mask @ ones)
+        # batch row r starts at r*n of the flattened sorted opinions, and at (rows-1-r)*n reversed
+        start = np.arange(0, x.size, n)
+        below += start.reshape(x.shape[:-1] + (1,))
+        above += start[::-1].reshape(x.shape[:-1] + (1,))
     ordered = ordered.reshape(-1)
-    if x.size > n:  # batch row r starts at r*n in the flattened sorted opinions
-        start = np.arange(0, x.size, n).reshape(x.shape[:-1] + (1,))
-        below, above = below + start, above - start
+    # ordered[::-1][above] is ordered[(n - 1) - above], for one view in place of an int op;
     # not in place: an in-place clip of one element turns -0.0 into +0.0
-    return means.clip(ordered[below], ordered[(n - 1) - above])
+    return means.clip(ordered[below], ordered[::-1][above])
 
 
 def _step(

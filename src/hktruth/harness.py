@@ -13,9 +13,13 @@ same alone or in any batch, whatever seeds share it.
 Runs are validated once, when they start, and then stepped in lockstep
 batches of at most ``_BATCH_RUNS``: one kernel call per step advances the
 whole batch, and each run draws its iid noise ``_NOISE_BLOCK`` steps at a
-time. A batch holds O(runs * (horizon + _NOISE_BLOCK * n)) floats, so an
-ensemble's memory is bounded by the batch cap, not by its run count.
-``run_trajectory`` is the batch of one.
+time, raw uniforms into its rows of the batch's noise block. The block is
+then mapped to ``delta * (2u - 1)`` at once, by the same in-place
+operations as ``draw_noise``, so each value has the bits ``draw_noise``
+gives on that run's stream. A batch holds
+O(runs * (horizon + _NOISE_BLOCK * n)) floats, so an ensemble's memory
+is bounded by the batch cap, not by its run count. ``run_trajectory`` is
+the batch of one.
 
 Runs never exit early: the trailing-window supremum that stands in for
 the infinite-horizon limit is only meaningful if the tail was actually
@@ -54,7 +58,8 @@ MODES = (MODE_NOISE_FREE, MODE_IID, MODE_STEERED)
 
 # An ensemble steps at most this many runs in lockstep, and fewer when the
 # batch's largest arrays would pass _BATCH_CELLS floats: a run costs n^2
-# opinion pairs in the dense neighbour kernel, and its noise block of
+# opinion pairs in the dense neighbour kernel, whose call holds two float
+# arrays of them at its peak (4 MiB for a full batch), and its noise block of
 # _NOISE_BLOCK * n draws in the sorted-window kernel, which has no pairs.
 _BATCH_RUNS = 64
 _BATCH_CELLS = 1 << 18
@@ -128,16 +133,14 @@ class EnsembleSummary:
     bounds: NoiseBounds | None
 
 
-def draw_noise(
-    rng: np.random.Generator, n: int | tuple[int, ...], delta: float, out: np.ndarray | None = None
-) -> np.ndarray:
+def draw_noise(rng: np.random.Generator, n: int | tuple[int, ...], delta: float) -> np.ndarray:
     """n independent draws uniform on [-delta, delta], as delta*(2u - 1).
 
-    ``n`` may be a shape, and ``out`` an array of that shape to draw into.
-    The rows of a ``(k, n)`` draw are the values of k successive draws of n.
+    ``n`` may be a shape. The rows of a ``(k, n)`` draw are the values of k
+    successive draws of n.
     """
     delta = dyn._check_real("delta", delta, "[0, inf)")
-    u = rng.random(n, out=out)
+    u = rng.random(n)
     # in place, the same operations as delta * (2.0 * u - 1.0)
     u *= 2.0
     u -= 1.0
@@ -179,7 +182,12 @@ def _run_batch(spec: RunSpec, seeds: Sequence[int]) -> list[TrajectoryRecord]:
         xs = states[:, t : t + k] if states is not None else np.empty((runs, k, cfg.n))
         if iid:
             for rng, rows in zip(rngs, noise):
-                draw_noise(rng, (k, cfg.n), cfg.delta, out=rows[:k])
+                rng.random(out=rows[:k])
+            # draw_noise's operations, once for the whole block; ModelConfig checked delta
+            block = noise[:, :k]
+            block *= 2.0
+            block -= 1.0
+            block *= cfg.delta
         for j in range(k):
             x = dyn._step(x, cfg, noise[:, j] if iid else steer)
             xs[:, j] = x

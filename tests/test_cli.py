@@ -165,11 +165,14 @@ class TestGoldenDigests:
                               env={**os.environ, "OPENBLAS_CORETYPE": "Sandybridge"})
         assert f"{len(tests)} passed" in proc.stdout, proc.stdout + proc.stderr
 
-    def test_one_neighbourhood_shortcut_keeps_the_mask_bits_under_another_blas_kernel(self):
-        # a group within epsilon sums against a float ones matrix in place of
-        # the cast bool mask; both must give the same matmul bits under
-        # another CPU's OpenBLAS kernel too
+    def test_the_dense_kernel_keeps_the_mask_bits_under_another_blas_kernel(self):
+        # the mask path sums against a float 0/1 mask and a group within epsilon
+        # against a float ones matrix, each in place of the cast bool mask; both
+        # must give the same matmul bits under another CPU's OpenBLAS kernel too
         tests = [f"tests/test_dynamics.py::TestSameBitsAsTheNumpyForm::{name}" for name in (
+            "test_neighbor_means_alone_and_in_a_batch",
+            "test_ensemble_batch_shapes_alone_and_in_a_batch",
+            "test_step_alone_and_in_a_batch",
             "test_consensus_means_alone_and_in_a_batch",
             "test_consensus_steps_alone_and_in_a_batch",
             "test_a_group_within_epsilon_skips_the_pairwise_mask")]

@@ -387,6 +387,20 @@ class TestNeighborMeans:
                     digest.update(neighbor_means(x, eps).tobytes())
         assert digest.hexdigest() == WINDOW_KERNEL_DIGEST
 
+    def test_a_dense_call_holds_two_float_pairwise_arrays(self):
+        # the difference, whose buffer becomes the mask, and the far-above floats,
+        # with the comparison's bool temporary and a few row-sized results
+        x = np.random.Generator(np.random.PCG64(53)).random((64, 20))
+        pairwise = x.size * x.shape[-1] * 8
+        neighbor_means(x, 0.2)
+        tracemalloc.start()
+        try:
+            neighbor_means(x, 0.2)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2.25 * pairwise
+
 
 class TestStepNoiseFree:
     def test_two_agent_hand_example(self):
@@ -503,6 +517,35 @@ class TestSameBitsAsTheNumpyForm:
             for row, want in zip(batch, expected):
                 assert_same_bits(neighbor_means(row, eps), want)
                 assert_same_bits(numpy_form_neighbor_means(row, eps), want)
+
+    @pytest.mark.parametrize("rows,n", [(50, 20), (64, 20), (16, _DENSE_MAX_N)])
+    def test_ensemble_batch_shapes_alone_and_in_a_batch(self, rows, n):
+        # the batches an ensemble steps: 50 or 64 runs at n = 20, and 16 at the
+        # dense cap. Rows of ties exactly epsilon apart, of signed zeros, and one
+        # whose counts take every value from 0 to n - 1 once epsilon is below
+        # its gap; the batch in Fortran order must give the same bits too
+        rng = np.random.Generator(np.random.PCG64(47 + rows + n))
+        spread = rng.permutation(np.linspace(0.0, 1.0, n))
+        spread[spread == 0.0] = -0.0
+        for eps in (0.2, 0.5 / (n - 1), float("inf"), 1e308, 5e-324):
+            ties = np.array([0.0, 0.3, 0.3 + eps, 1.0 - eps, 1.0]).clip(0.0, 1.0)
+            step = eps if 1e-3 < eps <= 1.0 else 0.25
+            kinds = [
+                lambda: rng.random(n),
+                lambda: np.minimum(rng.integers(0, int(1 / step) + 1, n) * step, 1.0),
+                lambda: rng.choice(ties, n),
+                lambda: rng.choice([-0.0, 0.0, 0.5, 1.0], n),
+                lambda: np.where(rng.random(n) < 0.3, -0.0, rng.random(n)),
+            ]
+            batch = np.stack([spread] + [kinds[r % len(kinds)]() for r in range(rows - 1)])
+            expected = numpy_form_neighbor_means(batch, eps)
+            assert_same_bits(neighbor_means(batch, eps), expected)
+            assert_same_bits(neighbor_means(np.asfortranarray(batch), eps), expected)
+            for row, want in zip(batch, expected):
+                assert_same_bits(neighbor_means(row, eps), want)
+            if eps < 1 / (n - 1):
+                far_above = batch[0, None, :] - batch[0, :, None] > eps
+                assert sorted(far_above.sum(axis=-1)) == list(range(n))
 
     @pytest.mark.parametrize("noise_kind", ["noise-free", "iid", "steered"])
     def test_step_alone_and_in_a_batch(self, noise_kind):

@@ -6,6 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import hktruth.dynamics as dyn
 from hktruth.bounds import bounds_for_config, steered_noise
 from hktruth.dynamics import ModelConfig, neighbor_means, step
 from hktruth.harness import (
@@ -95,6 +96,31 @@ class TestDrawNoise:
         rng = np.random.Generator(np.random.PCG64(0))
         with pytest.raises(ValueError, match=r"^delta must be a real number in \[0, inf\), got"):
             draw_noise(rng, 3, delta)
+
+    @pytest.mark.parametrize("runs,delta", [(1, 0.02), (3, 0.02), (3, 0.0)])
+    def test_a_batch_scales_each_runs_draws_as_draw_noise(self, monkeypatch, runs, delta):
+        # a batch scales its whole noise block at once; each run's noise must be
+        # draw_noise on its own stream after x(0), through a tail block of 13
+        # steps, and at delta = 0 each zero must keep draw_noise's sign
+        horizon = 45
+        cfg = ModelConfig(n=5, epsilon=0.2, truth=0.8, alpha=0.5, seekers=[0], delta=delta)
+        seen = []
+        kernel = dyn._step
+        monkeypatch.setattr(
+            dyn, "_step", lambda x, c, noise: seen.append(noise.copy()) or kernel(x, c, noise))
+        spec = make_spec(config=cfg, horizon=horizon, tail_window=1)
+        list(iter_ensemble(spec, range(7, 7 + runs)))
+        got = np.stack(seen, axis=1)
+        assert got.shape == (runs, horizon, cfg.n)
+        for r in range(runs):
+            rng = np.random.Generator(np.random.PCG64(7 + r))
+            rng.random(cfg.n)
+            want = np.concatenate([draw_noise(rng, (k, cfg.n), delta)
+                                   for k in (_NOISE_BLOCK, horizon - _NOISE_BLOCK)])
+            np.testing.assert_array_equal(got[r], want)
+            np.testing.assert_array_equal(np.signbit(got[r]), np.signbit(want))
+        if delta == 0.0:
+            assert np.signbit(got).any() and not np.signbit(got).all()
 
 
 class TestRunSpecValidation:

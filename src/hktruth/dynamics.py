@@ -22,7 +22,9 @@ profile, and ``neighbor_means`` picks its kernel by ``n``. Up to
 ``_DENSE_MAX_N`` agents it sums each window with a dense pairwise mask,
 O(n^2) time and memory per row. The mask and the far-above indicator are
 0/1 floats, so BLAS counts each window's ends exactly and sums it with the
-matmul a bool mask is cast to; no bool array is reduced. When every row
+matmul a bool mask is cast to; no bool array is reduced. A batch lays its
+pairs out flat, row after row, so neither its difference nor its counts
+run an inner loop per row of n. When every row
 lies within epsilon, as a converged group does, each row is one
 neighbourhood, its mask is all ones, and a cached ones matrix stands in
 for it. Above that it finds each window's start by ``searchsorted`` on
@@ -35,7 +37,8 @@ Either way a row's means are the same alone or in a batch.
 
 ``subset_deviations`` takes the worst distances to the truth from one
 buffer of |x - truth|, signed + for the seekers and - for the rest, so it
-copies no subset out of the block.
+copies no subset out of the block; a block of at least n short rows is
+reduced across its rows.
 """
 
 from __future__ import annotations
@@ -324,16 +327,19 @@ def neighbor_means(x: np.ndarray, epsilon: float) -> np.ndarray:
     product; above, it comes from prefix sums over the sorted row
     (``_window_means``), which needs no pairwise arrays. The two sums
     differ by O(n * 2^-52); the windows are the same. ``epsilon`` must be
-    > 0; inf makes every agent a neighbour of every other.
+    > 0; inf makes every agent a neighbour of every other. A list, a view
+    or a float32 profile gets the bits of its C-contiguous float64 copy.
 
     The dense mask path holds the far-above indicator and the mask as 0/1
     float64 arrays, the mask in the buffer of the pairwise difference.
-    ``above`` and ``below`` are BLAS products of the indicator with a
-    cached ones vector: sums of 0s and 1s below 2^53, exact in any
-    summation order. The window sum is ``mask @ x`` on the float mask,
-    which is exactly what matmul casts a bool mask to, so every output
-    bit is the bool mask's. The upper hull end ``ordered[(n - 1) - above]``
-    is read as ``ordered[::-1][above]``.
+    The counts are BLAS products with a cached ones vector, sums of 0s and
+    1s below 2^53, exact in any order. A batch lays its pairs out as
+    (rows * n, n), so ``above`` and the window size are one product each
+    and ``below`` is n - above - size; a single row sums the indicator's
+    columns for ``below``. The window sum is ``mask @ x`` on the float
+    mask, which is exactly what matmul casts a bool mask to, so every
+    output bit is the bool mask's. The upper hull end
+    ``ordered[(n - 1) - above]`` is read as ``ordered[::-1][above]``.
 
     Dense rows whose spread fl(max - min) is within epsilon take a
     shortcut, when all rows of ``x`` do. By the same monotonicity no
@@ -344,6 +350,8 @@ def neighbor_means(x: np.ndarray, epsilon: float) -> np.ndarray:
     """
     if not epsilon > 0.0:
         raise ValueError(f"confidence threshold epsilon must be > 0, got {epsilon!r}")
+    # a view's matmul leaves the BLAS path, and float32 would be summed in float32
+    x = np.ascontiguousarray(x, dtype=np.float64)
     n = x.shape[-1]
     if n > _DENSE_MAX_N:
         return _window_means(x, epsilon)
@@ -355,26 +363,36 @@ def neighbor_means(x: np.ndarray, epsilon: float) -> np.ndarray:
         means = (_ones(n) @ x[..., None])[..., 0] / n
         # per-agent bounds: broadcast (..., 1) bounds can flip the sign of a zero mean
         return means.clip(ordered[..., :1].repeat(n, -1), ordered[..., -1:].repeat(n, -1))
-    # diff[..., i, j] = fl(x_j - x_i), in C order whatever the layout of x, so the mask
-    # built in its buffer takes the BLAS matmul a cast bool mask takes
-    diff = np.subtract(x[..., None, :], x[..., None], order="C")
+    ones = _ones_vector(n)
+    one_row = x.size == n  # whatever its shape
+    if one_row:
+        # diff[..., i, j] = fl(x_j - x_i), in C order, so the mask built in its
+        # buffer takes the BLAS matmul a cast bool mask takes
+        diff = np.subtract(x[..., None, :], x[..., None], order="C")
+    else:
+        # the same, rows end to end as (rows * n, n): one pass over two C-contiguous
+        # repeats, where a broadcast runs an inner loop per row of n
+        diff = x.reshape(-1, n).repeat(n, 0)
+        diff -= x.repeat(n).reshape(diff.shape)
     far = (diff > epsilon).astype(np.float64)
     # the counts are sums of 0s and 1s below 2^53, exact in any order, so BLAS takes them
-    ones = _ones_vector(n)
     above = (far @ ones).astype(np.intp)
-    # fl(x_i - x_j) = -fl(x_j - x_i), so column i counts the agents far below x_i
-    below = (ones @ far).astype(np.intp)
+    if one_row:
+        # fl(x_i - x_j) = -fl(x_j - x_i), so column i counts the agents far below x_i
+        below = (ones @ far).astype(np.intp)
     del far  # the rest of the call holds one pairwise array
     # 0s and 1s in diff's buffer: what matmul casts a bool mask to, with no cast per call
     mask = np.less_equal(np.abs(diff, out=diff), epsilon, out=diff, casting="unsafe")
-    if x.size == n:  # one row, whatever its shape
-        means = (mask @ x.reshape(n)) / (mask @ ones)
+    count = mask @ ones
+    if one_row:
+        means = (mask @ x.reshape(n)) / count
     else:
-        means = (mask @ x[..., None])[..., 0] / (mask @ ones)
-        # batch row r starts at r*n of the flattened sorted opinions, and at (rows-1-r)*n reversed
-        start = np.arange(0, x.size, n)
-        below += start.reshape(x.shape[:-1] + (1,))
-        above += start[::-1].reshape(x.shape[:-1] + (1,))
+        count = count.reshape(x.shape)
+        means = (mask.reshape(x.shape + (n,)) @ x[..., None])[..., 0] / count
+        # row r starts at (rows-1-r)*n of the reversed flat sorted opinions, and
+        # at r*n unreversed, where r*n + below = (r+1)*n - above - count
+        above = (above + np.arange(x.size - n, -1, -n).repeat(n)).reshape(x.shape)
+        below = (x.size - above) - count.astype(np.intp)
     ordered = ordered.reshape(-1)
     # ordered[::-1][above] is ordered[(n - 1) - above], for one view in place of an int op;
     # not in place: an in-place clip of one element turns -0.0 into +0.0
@@ -439,10 +457,16 @@ def subset_deviations(
     seeker's sign + and every other agent's sign -, so d_s is the
     buffer's maximum and d_sbar minus its minimum. A masked reduction
     (``where=``) would run one inner loop per run of equal mask entries,
-    several times a gather's cost when the seekers are scattered.
+    several times a gather's cost when the seekers are scattered. A block
+    of at least n rows of at most 64 agents has its buffer in Fortran
+    order, agents outermost, so each reduction runs across the rows rather
+    than along each short row.
     """
-    # one block-sized temporary: each one of more than ~128 KB costs page faults
-    d = np.subtract(xs, config.truth)
+    # one block-sized temporary: each one of more than ~128 KB costs page faults.
+    # Written agents outermost it takes a stream of writes per agent, which cost
+    # more than they save above about 100 agents (0.7-1.0x the time at n = 50, 1.2-1.5x at 128)
+    across = xs.size >= config.n**2 and config.n <= 64
+    d = np.subtract(xs, config.truth, order="F" if across else "K")
     np.copysign(d, np.where(config.seeker_mask, 1.0, -1.0), out=d)
     nan = np.full(d.shape[:-1], np.nan)
     # a zero may come from either subset with either sign; + 0.0 and 0.0 - make it +0.0

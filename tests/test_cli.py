@@ -167,11 +167,13 @@ class TestGoldenDigests:
 
     def test_the_dense_kernel_keeps_the_mask_bits_under_another_blas_kernel(self):
         # the mask path sums against a float 0/1 mask and a group within epsilon
-        # against a float ones matrix, each in place of the cast bool mask; both
-        # must give the same matmul bits under another CPU's OpenBLAS kernel too
+        # against a float ones matrix, each in place of the cast bool mask, and
+        # counts a batch's windows in one flat product; all must give the same
+        # bits under another CPU's OpenBLAS kernel too
         tests = [f"tests/test_dynamics.py::TestSameBitsAsTheNumpyForm::{name}" for name in (
             "test_neighbor_means_alone_and_in_a_batch",
             "test_ensemble_batch_shapes_alone_and_in_a_batch",
+            "test_a_view_gets_the_bits_of_its_copy",
             "test_step_alone_and_in_a_batch",
             "test_consensus_means_alone_and_in_a_batch",
             "test_consensus_steps_alone_and_in_a_batch",

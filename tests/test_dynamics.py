@@ -387,6 +387,22 @@ class TestNeighborMeans:
                     digest.update(neighbor_means(x, eps).tobytes())
         assert digest.hexdigest() == WINDOW_KERNEL_DIGEST
 
+    @pytest.mark.parametrize("n", [3, 20, _DENSE_MAX_N + 1])
+    def test_a_list_or_float32_profile_is_read_as_float64(self, n):
+        # both kernels sum in float64 whatever the input, so a float32 profile
+        # gets the bits of its float64 copy, and a list is read as an array
+        rng = np.random.Generator(np.random.PCG64(59 + n))
+        for kind in range(5):
+            x, eps = signed_zero_profile(rng, n, kind)
+            x32 = x.astype(np.float32)
+            for profile in (x32, np.stack([x32, x32[::-1]])):
+                got = neighbor_means(profile, eps)
+                assert got.dtype == np.float64
+                assert_same_bits(got, neighbor_means(profile.astype(np.float64), eps))
+            assert_same_bits(neighbor_means(x.tolist(), eps), neighbor_means(x, eps))
+            assert_same_bits(neighbor_means([x.tolist()] * 2, eps),
+                             neighbor_means(np.stack([x, x]), eps))
+
     def test_a_dense_call_holds_two_float_pairwise_arrays(self):
         # the difference, whose buffer becomes the mask, and the far-above floats,
         # with the comparison's bool temporary and a few row-sized results
@@ -518,12 +534,16 @@ class TestSameBitsAsTheNumpyForm:
                 assert_same_bits(neighbor_means(row, eps), want)
                 assert_same_bits(numpy_form_neighbor_means(row, eps), want)
 
-    @pytest.mark.parametrize("rows,n", [(50, 20), (64, 20), (16, _DENSE_MAX_N)])
+    @pytest.mark.parametrize("rows,n", [(50, 20), (64, 20), (16, _DENSE_MAX_N), (10, 20), (2, 20),
+                                        pytest.param((5, 4), 20, id="5x4-20")])
     def test_ensemble_batch_shapes_alone_and_in_a_batch(self, rows, n):
-        # the batches an ensemble steps: 50 or 64 runs at n = 20, and 16 at the
-        # dense cap. Rows of ties exactly epsilon apart, of signed zeros, and one
-        # whose counts take every value from 0 to n - 1 once epsilon is below
-        # its gap; the batch in Fortran order must give the same bits too
+        # the batches an ensemble steps: 50 or 64 runs at n = 20, 10 (the CLI's),
+        # 2, and 16 at the dense cap, and one with two leading axes. Rows of ties
+        # exactly epsilon apart, of signed zeros, and one whose counts take every
+        # value from 0 to n - 1 once epsilon is below its gap; the batch in
+        # Fortran order must give the same bits too
+        lead = rows if isinstance(rows, tuple) else (rows,)
+        rows = int(np.prod(lead))
         rng = np.random.Generator(np.random.PCG64(47 + rows + n))
         spread = rng.permutation(np.linspace(0.0, 1.0, n))
         spread[spread == 0.0] = -0.0
@@ -537,15 +557,31 @@ class TestSameBitsAsTheNumpyForm:
                 lambda: rng.choice([-0.0, 0.0, 0.5, 1.0], n),
                 lambda: np.where(rng.random(n) < 0.3, -0.0, rng.random(n)),
             ]
-            batch = np.stack([spread] + [kinds[r % len(kinds)]() for r in range(rows - 1)])
+            flat = np.stack([spread] + [kinds[r % len(kinds)]() for r in range(rows - 1)])
+            batch = flat.reshape(lead + (n,))
             expected = numpy_form_neighbor_means(batch, eps)
             assert_same_bits(neighbor_means(batch, eps), expected)
             assert_same_bits(neighbor_means(np.asfortranarray(batch), eps), expected)
-            for row, want in zip(batch, expected):
+            for row, want in zip(flat, expected.reshape(rows, n)):
                 assert_same_bits(neighbor_means(row, eps), want)
             if eps < 1 / (n - 1):
-                far_above = batch[0, None, :] - batch[0, :, None] > eps
+                far_above = spread[None, :] - spread[:, None] > eps
                 assert sorted(far_above.sum(axis=-1)) == list(range(n))
+
+    @pytest.mark.parametrize("n", [1, 2, 8, 20, 50, _DENSE_MAX_N, _DENSE_MAX_N + 1])
+    def test_a_view_gets_the_bits_of_its_copy(self, n):
+        # reversed and strided rows and batches, on the mask path, a group
+        # within epsilon and the window kernel: the means of a view are those
+        # of its contiguous copy
+        rng = np.random.Generator(np.random.PCG64(61 + n))
+        profiles = [signed_zero_profile(rng, n, kind) for kind in range(10)]
+        profiles += [(x, eps) for x, eps, _ in consensus_profiles(rng, n)]
+        for x, eps in profiles:
+            batch = np.stack([x, rng.permutation(x), signed_zero_profile(rng, n, 3)[0], x[::-1]])
+            within = consensus_batches(rng, x)[0]
+            for view in (x[::-1], x[None, ::-1], batch[:, ::-1], batch[::-1], batch[::2],
+                         batch.T[::-1].T, within[:, ::-1], within[::-1]):
+                assert_same_bits(neighbor_means(view, eps), neighbor_means(view.copy(), eps))
 
     @pytest.mark.parametrize("noise_kind", ["noise-free", "iid", "steered"])
     def test_step_alone_and_in_a_batch(self, noise_kind):
@@ -632,7 +668,8 @@ class TestDeviation:
 
 
 class TestSubsetDeviations:
-    # the last shape has more rows than n/2 for n <= 129
+    # the last shape has at least n rows for n <= 140, which lays the buffer
+    # out agents outermost up to n = 64 (n = 5, 20 and 64) and not above (129)
     @pytest.mark.parametrize("shape", [(), (3,), (2, 3), (70, 2)],
                              ids=["(n,)", "(T, n)", "(R, T, n)", "(R > n/2, T, n)"])
     @pytest.mark.parametrize("n,seekers", [
@@ -640,6 +677,7 @@ class TestSubsetDeviations:
         # above _DENSE_MAX_N: none, all, a prefix and a scattered set
         (300, []), (300, range(300)), (300, range(40)), (300, [0, 7, 128, 129, 200, 299]),
         (_DENSE_MAX_N + 1, [0, 5, 64, 127, 128]),
+        (20, []), (20, range(0, 20, 3)), (20, range(20)), (64, range(0, 64, 3)), (65, [0, 64]),
     ])
     def test_matches_the_oracle_on_a_batch_with_nan_for_empty_subsets(self, n, seekers, shape):
         rng = np.random.Generator(np.random.PCG64(23))
@@ -662,6 +700,12 @@ class TestSubsetDeviations:
         for x in at_truth:
             for got, subset in zip(subset_deviations(np.array(x), cfg), subsets):
                 assert got == deviation(x, subset, cfg.truth) and not np.signbit(got), (x, subset)
+        # a block of at least n rows, which the metrics reduce across the rows
+        block = np.array(at_truth * 3).reshape(3, 3, 4)
+        for got, subset in zip(subset_deviations(block, cfg), subsets):
+            for at in np.ndindex(got.shape):
+                want = deviation(block[at], subset, cfg.truth)
+                assert got[at] == want and not np.signbit(got[at]), (block[at], subset)
 
     @pytest.mark.parametrize("shape", [(1, 32, 20_000), (50, 32, 20)])
     def test_a_call_holds_no_gathered_copy(self, shape):

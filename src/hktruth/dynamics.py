@@ -3,46 +3,21 @@
 Opinions live on the unit interval. At every step each agent replaces its
 opinion with the average over its epsilon-neighborhood (all agents whose
 opinion lies within ``epsilon`` of its own, itself included). Truth
-seekers additionally pull toward the truth value with their attraction
-strength, so a seeker's update is a convex mix of the neighborhood
-average and the truth. The noisy variant perturbs every target by a
-bounded term and clamps the result back into [0, 1].
+seekers then mix in the truth with their attraction strength, and the
+noisy variant adds a bounded term and clamps the result into [0, 1].
 
-An opinion profile is a plain float64 vector of ``n`` opinions. The step
-is pure: it reads one profile and returns a new one, so agents within a
-step can be evaluated in any order without changing the result.
-Randomness never enters here; noise vectors are explicit inputs supplied
-by the caller. The public ``step`` checks its profile with
-``validate_state`` and its noise against ``delta``; its kernel ``_step``
-checks nothing, so a run loop that validated once up front calls it on
-every step.
-
-The neighbourhood of an agent is a contiguous window of the sorted
-profile, and ``neighbor_means`` picks its kernel by ``n``. Up to
-``_DENSE_MAX_N`` agents it sums each window with a dense pairwise mask,
-O(n^2) time and memory per row. The mask and the far-above indicator are
-0/1 floats, so BLAS counts each window's ends exactly and sums it with the
-matmul a bool mask is cast to; no bool array is reduced. A batch lays its
-pairs out flat, row after row, so neither its difference nor its counts
-run an inner loop per row of n. When every row
-lies within epsilon, as a converged group does, each row is one
-neighbourhood, its mask is all ones, and a cached ones matrix stands in
-for it. Above that it finds each window's start by ``searchsorted`` on
-the sorted row and sums the windows with prefix sums, in O(n log n) time
-and O(n) memory. The window ends need no second search: fl(s_j - s_i) <=
-epsilon holds exactly when s_i lies at or past the start of s_j's
-window. Both kernels apply the same exact closed test, so they find the
-same neighbours and the same hull; the two sums differ by O(n * 2^-52).
-Either way a row's means are the same alone or in a batch.
-
-``subset_deviations`` takes the worst distances to the truth from one
-buffer of |x - truth|, signed + for the seekers and - for the rest, so it
-copies no subset out of the block; a block of at least n short rows is
-reduced across its rows.
+A profile is a float64 vector of ``n`` opinions, or a batch ``(..., n)`` of
+them stepped row by row, each row bit for bit the same alone or in a
+batch. A step is pure, and noise is an explicit input. The public ``step``
+checks its profile with ``validate_state`` and its noise against
+``delta``; its kernel ``_step`` checks nothing, for a run loop that
+validated once up front. README describes how the kernels compute and
+what they cost.
 """
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from typing import Callable, Iterable, Sequence
@@ -60,6 +35,11 @@ __all__ = [
 
 # rows of more agents than this use the sorted-window kernel
 _DENSE_MAX_N = 128
+# dense rows keep their masks between calls, and an ensemble steps its runs
+# together, only while rows * n^2 is at most this many floats (2 MiB)
+_BATCH_CELLS = 1 << 18
+_FLOAT_MAX = float(np.finfo(np.float64).max)
+_NON_FINITE = "opinion vector contains non-finite values"
 
 
 @dataclass(frozen=True)
@@ -195,7 +175,7 @@ def validate_state(x: np.ndarray | Sequence[float], config: ModelConfig) -> np.n
     if arr.shape != (config.n,):
         raise ValueError(f"opinion vector must have shape ({config.n},), got {arr.shape}")
     if not np.all(np.isfinite(arr)):
-        raise ValueError("opinion vector contains non-finite values")
+        raise ValueError(_NON_FINITE)
     if np.any(arr < 0.0) or np.any(arr > 1.0):
         raise ValueError("every opinion must be in [0, 1]")
     return arr
@@ -222,22 +202,21 @@ def clamp_vector(values: np.ndarray) -> np.ndarray:
 
 
 def _windows(s: np.ndarray, epsilon: float) -> tuple[np.ndarray, np.ndarray]:
-    """Closed-test neighbourhood windows of sorted rows.
+    """Closed-test neighbourhood windows of sorted rows; NaN and +-inf are refused.
 
     ``s`` is ``(R, n)`` with every row sorted. Returns flat indices into
     ``s.ravel()``: the neighbours of entry i are entries [lo[i], hi[i]), the
-    j of its row with |fl(s_j - s_i)| <= epsilon, since fl(s_j - s_i) is
-    monotone in s_j. The rows are laid end to end as keys, each shifted
-    clear of its neighbours' windows, so one ``searchsorted`` finds every
-    window start; a single row needs no shift. ``tol`` lies far above the
-    rounding of the shifted keys; where a key lies within it of
-    keys[i] - epsilon, the closed test itself settles the start of i by
-    bisection. The window ends need no search: fl(s_j - s_i) <= epsilon
-    holds exactly when lo[j] <= i, so hi[i] counts the j with lo[j] <= i.
+    j of its row with |fl(s_j - s_i)| <= epsilon. One ``searchsorted`` over
+    the rows laid end to end, each shifted clear of the others, finds every
+    start, bisection on the closed test settles a start within rounding of
+    its edge, and hi[i] counts the j with lo[j] <= i.
     """
     rows, n = s.shape
-    low = s[:, 0].min()
-    width = s[:, -1].max() - low
+    low, high = s[:, 0].min(), s[:, -1].max()
+    # a NaN sorts last, so the rows are finite exactly when these two are
+    if not (-_FLOAT_MAX <= low and high <= _FLOAT_MAX):
+        raise ValueError(_NON_FINITE)
+    width = high - low
     # no |fl(s_j - s_i)| exceeds the width, so this cap keeps every window,
     # and keeps 2*epsilon finite for an epsilon near the float maximum
     epsilon = min(epsilon, width)
@@ -303,100 +282,151 @@ def _ones(n: int) -> np.ndarray:
 
 @lru_cache(maxsize=None)  # one per n <= _DENSE_MAX_N
 def _ones_vector(n: int) -> np.ndarray:
-    """n float64 ones: a matmul against them sums the rows or columns of a 0/1 float mask."""
+    """n float64 ones: a matmul against them sums the rows of a 0/1 float mask."""
     ones = np.ones(n)
     ones.flags.writeable = False
     return ones
 
 
+class _Masks:
+    """The dense masks of one epsilon and call shape, row by row, and what proves them current.
+
+    Row r was built from ``x0[r]``. Its agents' 0/1 float mask rows, their
+    sums ``count`` and their hull ends ``hull``, flat indices into the sorted
+    opinions, lie agent after agent. They hold while 2m < ``room[r]``, for m
+    the largest move from ``x0[r]`` (see ``rebuild``).
+    """
+
+    def __init__(self, key: tuple, flat: np.ndarray) -> None:
+        rows, n = flat.shape
+        self.key = key
+        self.x0 = np.zeros_like(flat)  # finite, so no first move computes inf - inf
+        self.room = np.full(rows, np.nan)  # so every row fails the certificate
+        # flat index of the largest opinion of each agent's row
+        self.last = np.arange(n - 1, rows * n, n).repeat(n)
+
+    def rebuild(self, flat: np.ndarray, stale: np.ndarray | None, epsilon: float) -> None:
+        """Build the rows ``stale`` (None: every row) of the opinions ``flat``, ``(rows, n)``.
+
+        Row r's gap g is the least computed | |fl(x_j - x_i)| - epsilon |;
+        the pair i = i makes g <= epsilon. If no opinion moves by more than
+        m, x_j - x_i moves by at most 2m, and no pair crosses epsilon while 2m
+        plus the rounding stays below g. With u = 2^-53 the rounding is that
+        of the move fl(|x - x0|), 2u*2m; of the old difference, u(epsilon +
+        g); of the gap, u*g; an ulp of epsilon, 2u*epsilon + 2^-1074, for a
+        new difference to round to its side; and of the test m < fl(``room``
+        / 2), ``room`` = fl(g - slack), u*g + 2^-1074. With 2m < g <= epsilon
+        that is below 9.1u*epsilon + 2^-1073, so the slack 2^-49*epsilon +
+        2^-1073 = 16u*epsilon + 2^-1073 covers it. A NaN move fails the test.
+        """
+        rows, n = flat.shape
+        every = stale is None or stale.size == rows
+        xb = flat if every else flat[stale]
+        if not np.isfinite(xb).all():
+            raise ValueError(_NON_FINITE)
+        k = len(xb)
+        if k == 1:
+            # diff[i, j] = fl(x_j - x_i), C order, so the mask in its buffer takes the BLAS matmul
+            diff = np.subtract(xb, xb[0, :, None])
+        else:
+            # the same, rows end to end as (k * n, n): one pass over two C-contiguous
+            # repeats, where a broadcast runs an inner loop per row of n
+            diff = xb.repeat(n, 0)
+            diff -= xb.repeat(n).reshape(diff.shape)
+        far = (diff > epsilon).astype(np.float64)
+        ones = _ones_vector(n)
+        # the counts are sums of 0s and 1s below 2^53, exact in any order, so BLAS takes them
+        above = (far @ ones).astype(np.intp)
+        np.abs(diff, out=diff)
+        np.abs(np.subtract(diff, epsilon, out=far), out=far)
+        gap = np.minimum.reduce(far.reshape(k, -1), 1)
+        del far  # the rest of the build holds one pairwise array
+        # 0s and 1s in diff's buffer: what matmul casts a bool mask to, with no cast per call
+        mask = np.less_equal(diff, epsilon, out=diff, casting="unsafe")
+        count = mask @ ones
+        agents = slice(None) if every else (stale[:, None] * n + np.arange(n)).ravel()
+        # an agent's window in the sorted opinions of its row, which start at r*n,
+        # is [r*n + below, r*n + n - above), and below = n - above - count
+        hull = np.empty((2, k * n), np.intp)
+        np.subtract(self.last[agents], above, out=hull[1])
+        np.subtract(hull[1] + 1, count.astype(np.intp), out=hull[0])
+        room = gap - (2.0**-49 * epsilon + 2.0**-1073)
+        if every:
+            self.x0, self.mask, self.count, self.hull, self.room = (
+                xb.copy(), mask, count, hull, room)
+        else:
+            self.x0[stale], self.room[stale] = xb, room
+            self.mask[agents], self.count[agents], self.hull[:, agents] = mask, count, hull
+
+
+# the last dense call's masks, one slot per thread
+_memo = threading.local()
+
+
+def _mask_means(x: np.ndarray, ordered: np.ndarray, epsilon: float) -> np.ndarray:
+    """``neighbor_means`` from each row's mask: the memo's where it is proved current, else built."""
+    n = x.shape[-1]
+    rows = x.size // n
+    flat = x.reshape(rows, n)
+    masks = getattr(_memo, "masks", None)
+    if masks is None or masks.key != (epsilon, x.shape):
+        masks = _Masks((epsilon, x.shape), flat)
+    moved = np.abs(flat - masks.x0)
+    # each test is written so that a NaN move fails it
+    if rows == 1:  # one scalar test
+        if not np.maximum.reduce(moved, None) < 0.5 * masks.room[0]:
+            masks.rebuild(flat, None, epsilon)
+        sums = masks.mask @ x.reshape(n)
+    else:
+        current = np.maximum.reduce(moved, 1) < 0.5 * masks.room
+        if not current.all():
+            masks.rebuild(flat, np.flatnonzero(~current), epsilon)
+        sums = (masks.mask.reshape(rows, n, n) @ flat[..., None]).reshape(-1)
+    if rows * n * n <= _BATCH_CELLS:
+        _memo.masks = masks
+    hull = ordered.take(masks.hull)
+    # not in place: an in-place clip of one element turns -0.0 into +0.0
+    return (sums / masks.count).clip(hull[0], hull[1]).reshape(x.shape)
+
+
 def neighbor_means(x: np.ndarray, epsilon: float) -> np.ndarray:
     """Neighborhood average for every agent of a raw opinion vector.
 
-    The comparison is the exact closed test |x_j - x_i| <= epsilon. Each
-    mean is clipped into the min/max hull of the contributing opinions so
-    float summation can never push it outside, which keeps the noise-free
-    update in [0, 1] without clamping. Leading axes of ``x`` are batch
-    axes: each row along the last axis is a separate group, and its means
-    are the same, bit for bit, as for that row alone.
-
-    The rounded difference fl(x_j - x_i) is monotone in x_j, so the agents
-    more than epsilon below x_i are exactly the ``below_i`` smallest and
-    those more than epsilon above it the ``above_i`` largest: the
-    neighbourhood is a window of the sorted row, and the hull its ends.
-    Up to ``_DENSE_MAX_N`` agents the sum over it is a dense masked
-    product; above, it comes from prefix sums over the sorted row
-    (``_window_means``), which needs no pairwise arrays. The two sums
-    differ by O(n * 2^-52); the windows are the same. ``epsilon`` must be
-    > 0; inf makes every agent a neighbour of every other. A list, a view
-    or a float32 profile gets the bits of its C-contiguous float64 copy.
-
-    The dense mask path holds the far-above indicator and the mask as 0/1
-    float64 arrays, the mask in the buffer of the pairwise difference.
-    The counts are BLAS products with a cached ones vector, sums of 0s and
-    1s below 2^53, exact in any order. A batch lays its pairs out as
-    (rows * n, n), so ``above`` and the window size are one product each
-    and ``below`` is n - above - size; a single row sums the indicator's
-    columns for ``below``. The window sum is ``mask @ x`` on the float
-    mask, which is exactly what matmul casts a bool mask to, so every
-    output bit is the bool mask's. The upper hull end
-    ``ordered[(n - 1) - above]`` is read as ``ordered[::-1][above]``.
-
-    Dense rows whose spread fl(max - min) is within epsilon take a
-    shortcut, when all rows of ``x`` do. By the same monotonicity no
-    |fl(x_j - x_i)| exceeds the spread, so every pair passes the closed
-    test: the mask is all ones, each count is n and the hull is the row's
-    ends. The sum is then the same matmul against a float ones matrix,
-    which is what the bool mask is cast to, so the means keep their bits.
+    The neighbours of x_i are the x_j with |fl(x_j - x_i)| <= epsilon, for
+    an ``epsilon`` > 0 (inf takes in every agent). Each mean is clipped into
+    the min/max hull of its neighbours, so the noise-free update stays in
+    [0, 1] without clamping. Leading axes of ``x`` are batch axes, and a
+    row's means are bit for bit the same alone or in a batch. A list, a
+    view or a float32 profile gets the bits of its C-contiguous float64
+    copy; NaN and +-inf are refused with ``validate_state``'s ``ValueError``.
+    Up to ``_DENSE_MAX_N`` agents the sum is a matmul on a 0/1 float mask,
+    which a row keeps between calls while its movement provably leaves it
+    unchanged; above, prefix sums over the sorted row. The two sums differ
+    by O(n * 2^-52); the neighbours and the hull are the same.
     """
     if not epsilon > 0.0:
         raise ValueError(f"confidence threshold epsilon must be > 0, got {epsilon!r}")
     # a view's matmul leaves the BLAS path, and float32 would be summed in float32
     x = np.ascontiguousarray(x, dtype=np.float64)
     n = x.shape[-1]
+    if not x.size:
+        return x.copy()
     if n > _DENSE_MAX_N:
         return _window_means(x, epsilon)
     ordered = x.copy()
     ordered.sort()
-    # row 0 first: a batch that is not one group mostly fails there, for one scalar compare
-    if (x.size and ordered.item(n - 1) - ordered.item(0) <= epsilon and (
-            x.size == n or np.maximum.reduce(ordered[..., -1] - ordered[..., 0], None) <= epsilon)):
+    # no |fl(x_j - x_i)| exceeds the spread fl(max - min), so a row within epsilon is one
+    # neighbourhood. Capped at the float maximum, the test sends a row with NaN or +-inf
+    # on to the mask path, which refuses it; finite row minima keep inf - inf out of the
+    # spreads. Row 0 first: a batch that is not one group mostly fails there
+    within = epsilon if epsilon <= _FLOAT_MAX else _FLOAT_MAX
+    if (ordered.item(n - 1) - ordered.item(0) <= within and (x.size == n or (
+            np.isfinite(ordered[..., 0]).all()
+            and np.maximum.reduce(ordered[..., -1] - ordered[..., 0], None) <= within))):
         means = (_ones(n) @ x[..., None])[..., 0] / n
         # per-agent bounds: broadcast (..., 1) bounds can flip the sign of a zero mean
         return means.clip(ordered[..., :1].repeat(n, -1), ordered[..., -1:].repeat(n, -1))
-    ones = _ones_vector(n)
-    one_row = x.size == n  # whatever its shape
-    if one_row:
-        # diff[..., i, j] = fl(x_j - x_i), in C order, so the mask built in its
-        # buffer takes the BLAS matmul a cast bool mask takes
-        diff = np.subtract(x[..., None, :], x[..., None], order="C")
-    else:
-        # the same, rows end to end as (rows * n, n): one pass over two C-contiguous
-        # repeats, where a broadcast runs an inner loop per row of n
-        diff = x.reshape(-1, n).repeat(n, 0)
-        diff -= x.repeat(n).reshape(diff.shape)
-    far = (diff > epsilon).astype(np.float64)
-    # the counts are sums of 0s and 1s below 2^53, exact in any order, so BLAS takes them
-    above = (far @ ones).astype(np.intp)
-    if one_row:
-        # fl(x_i - x_j) = -fl(x_j - x_i), so column i counts the agents far below x_i
-        below = (ones @ far).astype(np.intp)
-    del far  # the rest of the call holds one pairwise array
-    # 0s and 1s in diff's buffer: what matmul casts a bool mask to, with no cast per call
-    mask = np.less_equal(np.abs(diff, out=diff), epsilon, out=diff, casting="unsafe")
-    count = mask @ ones
-    if one_row:
-        means = (mask @ x.reshape(n)) / count
-    else:
-        count = count.reshape(x.shape)
-        means = (mask.reshape(x.shape + (n,)) @ x[..., None])[..., 0] / count
-        # row r starts at (rows-1-r)*n of the reversed flat sorted opinions, and
-        # at r*n unreversed, where r*n + below = (r+1)*n - above - count
-        above = (above + np.arange(x.size - n, -1, -n).repeat(n)).reshape(x.shape)
-        below = (x.size - above) - count.astype(np.intp)
-    ordered = ordered.reshape(-1)
-    # ordered[::-1][above] is ordered[(n - 1) - above], for one view in place of an int op;
-    # not in place: an in-place clip of one element turns -0.0 into +0.0
-    return means.clip(ordered[below], ordered[::-1][above])
+    return _mask_means(x, ordered, epsilon)
 
 
 def _step(
@@ -452,15 +482,8 @@ def subset_deviations(
     Returns (d_v, d_s, d_sbar), each reduced over the last axis of ``xs``,
     whose leading axes (runs, steps) are kept; ``xs`` holds opinions, so
     it is finite. A subset with no agents gives NaN, and d_v is the larger
-    of the two subset maxima. Both subsets are read the same way at every
-    n, from one buffer and with no gathered copy: |xs - truth| carries a
-    seeker's sign + and every other agent's sign -, so d_s is the
-    buffer's maximum and d_sbar minus its minimum. A masked reduction
-    (``where=``) would run one inner loop per run of equal mask entries,
-    several times a gather's cost when the seekers are scattered. A block
-    of at least n rows of at most 64 agents has its buffer in Fortran
-    order, agents outermost, so each reduction runs across the rows rather
-    than along each short row.
+    of the two subset maxima. Both come from one buffer of |xs - truth|,
+    signed + for the seekers and - for the rest, with no gathered copy.
     """
     # one block-sized temporary: each one of more than ~128 KB costs page faults.
     # Written agents outermost it takes a stream of writes per agent, which cost

@@ -13,13 +13,10 @@ same alone or in any batch, whatever seeds share it.
 Runs are validated once, when they start, and then stepped in lockstep
 batches of at most ``_BATCH_RUNS``: one kernel call per step advances the
 whole batch, and each run draws its iid noise ``_NOISE_BLOCK`` steps at a
-time, raw uniforms into its rows of the batch's noise block. The block is
-then mapped to ``delta * (2u - 1)`` at once, by the same in-place
-operations as ``draw_noise``, so each value has the bits ``draw_noise``
-gives on that run's stream. A batch holds
-O(runs * (horizon + _NOISE_BLOCK * n)) floats, so an ensemble's memory
-is bounded by the batch cap, not by its run count. ``run_trajectory`` is
-the batch of one.
+time, each value with the bits ``draw_noise`` gives on that run's stream.
+A batch holds O(runs * (horizon + _NOISE_BLOCK * n)) floats, so an
+ensemble's memory is bounded by the batch cap, not by its run count.
+``run_trajectory`` is the batch of one.
 
 Runs never exit early: the trailing-window supremum that stands in for
 the infinite-horizon limit is only meaningful if the tail was actually
@@ -57,12 +54,12 @@ MODE_STEERED = "steered"
 MODES = (MODE_NOISE_FREE, MODE_IID, MODE_STEERED)
 
 # An ensemble steps at most this many runs in lockstep, and fewer when the
-# batch's largest arrays would pass _BATCH_CELLS floats: a run costs n^2
-# opinion pairs in the dense neighbour kernel, whose call holds two float
-# arrays of them at its peak (4 MiB for a full batch), and its noise block of
-# _NOISE_BLOCK * n draws in the sorted-window kernel, which has no pairs.
+# batch's largest arrays would pass dynamics._BATCH_CELLS floats: a run costs
+# n^2 opinion pairs in the dense neighbour kernel, which keeps one float array
+# of them between steps (2 MiB for a full batch) and holds two during a build,
+# and its noise block of _NOISE_BLOCK * n draws in the sorted-window kernel,
+# which has no pairs.
 _BATCH_RUNS = 64
-_BATCH_CELLS = 1 << 18
 # iid noise is drawn this many steps at a time from each run's stream
 _NOISE_BLOCK = 32
 
@@ -227,7 +224,7 @@ def iter_ensemble(spec: RunSpec, seeds: Iterable[int]) -> Iterator[TrajectoryRec
         dyn._check_int("seed", seed, 0)
     n = spec.config.n
     cells = n**2 if n <= dyn._DENSE_MAX_N else _NOISE_BLOCK * n
-    cap = max(1, min(_BATCH_RUNS, _BATCH_CELLS // cells))
+    cap = max(1, min(_BATCH_RUNS, dyn._BATCH_CELLS // cells))
     for first in range(0, len(seeds), cap):
         yield from _run_batch(spec, seeds[first : first + cap])
 

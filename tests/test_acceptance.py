@@ -241,3 +241,38 @@ def test_criterion_11_one_truth_seeker_is_enough():
                   ok, f"noisy: {32 - len(never)}/32 seeds entered the band by step 10^5 "
                       f"(seeds {late} escalated from 2*10^4); noise-free: {stranded}/32 "
                       f"seeds end with a non-seeker > epsilon from the truth")
+
+
+def noise_free_ends(config: ModelConfig, pulled: int, seeds, horizon: int):
+    """Distances to the truth at the horizon of noise-free runs: agents [0, pulled), then the rest."""
+    spec = RunSpec(config=config, horizon=horizon, mode=MODE_NOISE_FREE, tail_window=1,
+                   record_states=True)
+    ends = np.abs(np.array([rec.states[-1] for rec in iter_ensemble(spec, seeds)]) - config.truth)
+    return ends[:, :pulled], ends[:, pulled:]
+
+
+def test_criterion_13_noise_free_dichotomy():
+    # without noise every seeker converges to the truth (the Hegselmann-Krause
+    # conjecture, proved by Kurz & Rambau 2011), and every other agent ends at
+    # the truth or more than epsilon from it
+    started = time.perf_counter()
+    tol, horizon, seeds = 1e-12, 2000, range(100)
+    worst_seeker, between, captured, stranded = 0.0, 0, 0, 0
+    for n, m in ((20, 10), (5, 1), (20, 1), (50, 5)):
+        config = ModelConfig(n=n, epsilon=0.2, truth=0.8, alpha=0.5, seekers=range(m), delta=0.0)
+        seekers, others = noise_free_ends(config, m, seeds, horizon)
+        worst_seeker = max(worst_seeker, float(seekers.max()))
+        between += int(np.count_nonzero((others > tol) & (others <= config.epsilon)))
+        captured += int(np.count_nonzero(others <= tol))
+        stranded += int(np.count_nonzero(others > config.epsilon))
+    # negative control: the same agents without the seekers' pull do not all reach the truth
+    control = ModelConfig(n=20, epsilon=0.2, truth=0.8, alpha=0.5, seekers=[], delta=0.0)
+    unpulled = float(noise_free_ends(control, 10, seeds, horizon)[0].max())
+    ok = (worst_seeker <= tol and between == 0 and captured >= 1 and stranded >= 1
+          and unpulled > tol)
+    assert report(13, "noise-free dichotomy: seekers reach the truth, others reach it or stay "
+                      "> epsilon away", ok,
+                  f"worst seeker {worst_seeker:.1e} (tol 1e-12), {captured} non-seekers captured, "
+                  f"{stranded} stranded, {between} in between, over 4 configs x 100 seeds at "
+                  f"horizon {horizon}; control without the pull: worst {unpulled:.2f}, "
+                  f"{time.perf_counter() - started:.1f}s")

@@ -166,10 +166,11 @@ class TestGoldenDigests:
         assert f"{len(tests)} passed" in proc.stdout, proc.stdout + proc.stderr
 
     def test_the_dense_kernel_keeps_the_mask_bits_under_another_blas_kernel(self):
-        # the mask path sums against a float 0/1 mask and a group within epsilon
-        # against a float ones matrix, each in place of the cast bool mask, and
-        # counts a batch's windows in one flat product; all must give the same
-        # bits under another CPU's OpenBLAS kernel too
+        # the mask path sums against a float 0/1 mask, built or kept from an
+        # earlier call, and a group within epsilon against a float ones matrix,
+        # each in place of the cast bool mask, and counts a batch's windows in
+        # one flat product; all must give the same bits under another CPU's
+        # OpenBLAS kernel too
         tests = [f"tests/test_dynamics.py::TestSameBitsAsTheNumpyForm::{name}" for name in (
             "test_neighbor_means_alone_and_in_a_batch",
             "test_ensemble_batch_shapes_alone_and_in_a_batch",
@@ -178,6 +179,10 @@ class TestGoldenDigests:
             "test_consensus_means_alone_and_in_a_batch",
             "test_consensus_steps_alone_and_in_a_batch",
             "test_a_group_within_epsilon_skips_the_pairwise_mask")]
+        tests += [f"tests/test_dynamics.py::TestMaskReuse::{name}" for name in (
+            "test_walks_keep_the_bits_of_the_numpy_form",
+            "test_moves_of_half_a_gap_within_rounding_of_epsilon",
+            "test_a_repeat_builds_nothing_and_a_new_epsilon_or_shape_reuses_nothing")]
         proc = subprocess.run([sys.executable, "-m", "pytest", "-q", *tests],
                               cwd=Path(__file__).parents[1], capture_output=True, text=True,
                               env={**os.environ, "OPENBLAS_CORETYPE": "Sandybridge"})

@@ -615,7 +615,8 @@ class TestSameBitsAsTheNumpyForm:
                 assert_same_bits(neighbor_means(batch, eps), expected)
                 for row, want in zip(batch, expected):
                     assert_same_bits(neighbor_means(row, eps), want)
-        assert neighbor_means(np.empty((0, n)), 0.2).shape == (0, n)
+        for shape in ((0, n), (0,), (3, 0), (2, 0, 5)):
+            assert neighbor_means(np.empty(shape), 0.2).shape == shape
 
     @pytest.mark.parametrize("n", [1, 2, 25, _DENSE_MAX_N])
     @pytest.mark.parametrize("noise_kind", ["noise-free", "iid", "steered"])
@@ -646,6 +647,124 @@ class TestSameBitsAsTheNumpyForm:
                     calls.clear()
                     neighbor_means(profile, eps)
                     assert calls == ([n] if shortcut else []), (n, eps, profile)
+
+
+def count_builds(monkeypatch):
+    """A list that gets the number of rows of each dense mask build."""
+    built = []
+    rebuild = dyn._Masks.rebuild
+
+    def counted(self, flat, stale, epsilon):
+        built.append(len(flat) if stale is None else stale.size)
+        return rebuild(self, flat, stale, epsilon)
+
+    monkeypatch.setattr(dyn._Masks, "rebuild", counted)
+    return built
+
+
+class TestMaskReuse:
+    # a dense row keeps the mask of an earlier call while a bound on its
+    # movement proves that no pair has crossed epsilon
+    @pytest.mark.parametrize("lead", [(), (1,), (3,), (50,), (2, 3)], ids=str)
+    def test_walks_keep_the_bits_of_the_numpy_form(self, lead, monkeypatch):
+        # moves of 0, 1e-16, 1e-9, 1e-3 and 0.05 on some rows at a time, from
+        # and back onto a 1/8 grid, where ties and pairs exactly epsilon apart
+        # (0.125, 0.25) make a row's gap 0
+        built = count_builds(monkeypatch)
+        rng = np.random.Generator(np.random.PCG64(71 + len(lead) + sum(lead)))
+        calls = 0
+        for n in (2, 5, 20, 50):
+            for eps in (0.125, 0.25, 0.2, 0.05):
+                x = rng.integers(0, 9, lead + (n,)) / 8.0
+                for t in range(60):
+                    assert_same_bits(neighbor_means(x, eps), numpy_form_neighbor_means(x, eps))
+                    calls += x.size // n
+                    move = float(rng.choice([0.0, 1e-16, 1e-9, 1e-3, 0.05]))
+                    moving = rng.random(lead + (1,)) < 0.5
+                    x = np.where(moving, x + move * rng.choice([-1.0, 0.0, 1.0], x.shape), x)
+                    if t % 15 == 14:
+                        x = np.round(x * 8.0) / 8.0
+        # both paths were taken
+        assert 0 < sum(built) < calls
+
+    def test_moves_of_half_a_gap_within_rounding_of_epsilon(self):
+        # a pair a few ulps from epsilon whose difference is rounded: a move of
+        # just under half the row's gap can take it across, so the slack must
+        # keep such a row stale
+        rng = np.random.Generator(np.random.PCG64(97))
+        for _ in range(300):
+            eps = float(rng.choice([0.2, 0.1, 0.3, 0.125]))
+            near = float(rng.uniform(1e-9, 1e-2))
+            far = near + eps
+            x0 = np.array([near, far + int(rng.integers(-3, 4)) * np.spacing(far), 0.9])
+            diff = x0[None, :] - x0[:, None]
+            gap = np.min(np.abs(np.abs(diff) - eps))
+            for fraction, sign in itertools.product((1.0, 0.75, 0.5), (1.0, -1.0)):
+                step = np.nextafter(gap * fraction / 2.0, 0.0)
+                x = x0 + sign * np.array([step, -step, 0.0])
+                neighbor_means(x0, eps)
+                assert_same_bits(neighbor_means(x, eps), numpy_form_neighbor_means(x, eps))
+
+    def test_a_repeat_builds_nothing_and_a_new_epsilon_or_shape_reuses_nothing(self, monkeypatch):
+        built = count_builds(monkeypatch)
+        x = np.random.Generator(np.random.PCG64(73)).random((10, 20))
+        calls = [
+            (x, 0.2, None), (x, 0.2, []), (x + 1e-12, 0.2, []), (x, 0.21, [10]), (x, 0.21, []),
+            (x[:5], 0.21, [5]), (x.reshape(2, 5, 20), 0.21, [10]), (x[0], 0.21, [1]),
+            (x[0], 0.21, []), (x[0].reshape(1, 20), 0.21, [1]), (x, 0.21, [10]),
+            (np.vstack([x[:3], x[3:4] + 0.3, x[4:]]), 0.21, [1]), (x, 0.21, [1]),
+        ]
+        for profile, eps, want in calls:
+            built.clear()
+            assert_same_bits(neighbor_means(profile, eps), numpy_form_neighbor_means(profile, eps))
+            assert want is None or built == want, (profile.shape, eps, built)
+
+    def test_a_memo_is_kept_only_up_to_the_batch_cap(self, monkeypatch):
+        built = count_builds(monkeypatch)
+        rng = np.random.Generator(np.random.PCG64(79))
+        n = _DENSE_MAX_N
+        for rows, kept in ((dyn._BATCH_CELLS // n**2, True), (dyn._BATCH_CELLS // n**2 + 1, False)):
+            x = rng.random((rows, n))
+            built.clear()
+            neighbor_means(x, 0.2)
+            neighbor_means(x, 0.2)
+            assert built == ([rows] if kept else [rows, rows])
+
+    def test_a_build_holds_two_float_pairwise_arrays(self):
+        # a call that rebuilds every row peaks as a call without the memo did
+        rng = np.random.Generator(np.random.PCG64(83))
+        x, y = rng.random((2, 64, 20))
+        pairwise = x.size * x.shape[-1] * 8
+        neighbor_means(x, 0.2)
+        tracemalloc.start()
+        try:
+            neighbor_means(y, 0.2)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2.25 * pairwise
+
+    @pytest.mark.parametrize("n", [1, 2, 20, _DENSE_MAX_N + 1])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_opinions_are_refused(self, n, bad):
+        # alone and in a batch, in the first and the last row and agent, on the
+        # mask path, a group within epsilon and the window kernel, with and
+        # without masks kept from a finite call of the same shape
+        rng = np.random.Generator(np.random.PCG64(89 + n))
+        for eps in (0.2, np.inf):
+            for spread in (1.0, 0.01):
+                x = 0.5 + spread * (rng.random((4, n)) - 0.5)
+                for row, agent in itertools.product((0, -1), (0, -1)):
+                    for profile, where in ((x, (row, agent)), (x[row], (agent,))):
+                        neighbor_means(profile, eps)
+                        bad_profile = profile.copy()
+                        bad_profile[where] = bad
+                        with pytest.raises(ValueError, match="contains non-finite values"):
+                            neighbor_means(bad_profile, eps)
+                        expected = neighbor_means(profile.copy(), eps)
+                        assert_same_bits(neighbor_means(profile, eps), expected)
+                        if n <= _DENSE_MAX_N:
+                            assert_same_bits(expected, numpy_form_neighbor_means(profile, eps))
 
 
 class TestDeviation:

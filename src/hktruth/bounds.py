@@ -63,10 +63,13 @@ def compute_bounds(n: int, m: int, alpha: float, epsilon: float, delta: float) -
     delta_lower = m alpha epsilon / (2n + (2m-n)alpha)
     admissible = 0 < delta <= delta_lower
 
-    The paper states delta_lower as the min of that term and
-    m epsilon / (n + 2m). The first is the smaller for every legal alpha:
-    it is <= the second iff alpha(n + 2m) <= 2n + (2m-n)alpha, i.e. iff
-    alpha <= 1, with equality at alpha = 1. So only the first is computed.
+    The paper's delta_lower is the min of that term and m epsilon/(n + 2m);
+    the first is the smaller iff alpha(n + 2m) <= 2n + (2m-n)alpha, i.e. iff
+    alpha <= 1, so only it is computed. ``admissible`` keeps the closed end,
+    but in floating point the one-step band lemma needs delta < delta_lower:
+    fl(delta1 + delta2) can pass epsilon by an ulp, so one worst-case step can
+    leave the band by a full delta, as at n = 22, seekers 0-3, alpha =
+    0.06928255667714005, epsilon = 0.15432559066118634, truth = 0.15008025291603644.
     """
     _check_int("n", n, 1)
     _check_int("m", m, 1, n)

@@ -40,6 +40,7 @@ _DENSE_MAX_N = 128
 _BATCH_CELLS = 1 << 18
 _FLOAT_MAX = float(np.finfo(np.float64).max)
 _NON_FINITE = "opinion vector contains non-finite values"
+_TOO_WIDE = "opinion vector spreads too wide to sum without overflow"
 
 
 @dataclass(frozen=True)
@@ -202,7 +203,7 @@ def clamp_vector(values: np.ndarray) -> np.ndarray:
 
 
 def _windows(s: np.ndarray, epsilon: float) -> tuple[np.ndarray, np.ndarray]:
-    """Closed-test neighbourhood windows of sorted rows; NaN and +-inf are refused.
+    """Closed-test windows of sorted rows; NaN, +-inf and spreads that could overflow are refused.
 
     ``s`` is ``(R, n)`` with every row sorted. Returns flat indices into
     ``s.ravel()``: the neighbours of entry i are entries [lo[i], hi[i]), the
@@ -212,15 +213,18 @@ def _windows(s: np.ndarray, epsilon: float) -> tuple[np.ndarray, np.ndarray]:
     its edge, and hi[i] counts the j with lo[j] <= i.
     """
     rows, n = s.shape
-    low, high = s[:, 0].min(), s[:, -1].max()
+    low, high = float(s[:, 0].min()), float(s[:, -1].max())
     # a NaN sorts last, so the rows are finite exactly when these two are
     if not (-_FLOAT_MAX <= low and high <= _FLOAT_MAX):
         raise ValueError(_NON_FINITE)
+    # Python floats, which overflow to inf without a warning. No |fl(s_j - s_i)|
+    # exceeds the width, so this cap keeps every window
     width = high - low
-    # no |fl(s_j - s_i)| exceeds the width, so this cap keeps every window,
-    # and keeps 2*epsilon finite for an epsilon near the float maximum
-    epsilon = min(epsilon, width)
+    epsilon = min(float(epsilon), width)
     span = width + 2.0 * epsilon + 1.0
+    # the keys stay below span * rows and a row's prefix sums near n * width
+    if not 2.0 * span * max(rows, n) <= _FLOAT_MAX:
+        raise ValueError(_TOO_WIDE)
     keys = s - low
     if rows > 1:
         keys += span * np.arange(rows)[:, None]
@@ -272,18 +276,10 @@ def _window_means(x: np.ndarray, epsilon: float) -> np.ndarray:
     return out.reshape(x.shape)
 
 
-@lru_cache(maxsize=None)  # one per n <= _DENSE_MAX_N
-def _ones(n: int) -> np.ndarray:
-    """The mask of a row within epsilon, n x n, as float64: what matmul casts a bool mask to."""
-    ones = np.ones((n, n))
-    ones.flags.writeable = False
-    return ones
-
-
-@lru_cache(maxsize=None)  # one per n <= _DENSE_MAX_N
-def _ones_vector(n: int) -> np.ndarray:
-    """n float64 ones: a matmul against them sums the rows of a 0/1 float mask."""
-    ones = np.ones(n)
+@lru_cache(maxsize=None)  # (n,) and (n, n) per n <= _DENSE_MAX_N
+def _ones(*shape: int) -> np.ndarray:
+    """Read-only float64 ones: (n,) sums the rows of a 0/1 mask, (n, n) is a group's mask."""
+    ones = np.ones(shape)
     ones.flags.writeable = False
     return ones
 
@@ -325,16 +321,13 @@ class _Masks:
         if not np.isfinite(xb).all():
             raise ValueError(_NON_FINITE)
         k = len(xb)
-        if k == 1:
-            # diff[i, j] = fl(x_j - x_i), C order, so the mask in its buffer takes the BLAS matmul
-            diff = np.subtract(xb, xb[0, :, None])
-        else:
-            # the same, rows end to end as (k * n, n): one pass over two C-contiguous
-            # repeats, where a broadcast runs an inner loop per row of n
-            diff = xb.repeat(n, 0)
-            diff -= xb.repeat(n).reshape(diff.shape)
+        # diff[r*n + i, j] = fl(x_j - x_i) of row r, rows end to end and C order, so the
+        # mask in its buffer takes the BLAS matmul: one pass over two C-contiguous
+        # repeats, where a broadcast runs an inner loop per row of n
+        diff = xb.repeat(n, 0)
+        diff -= xb.repeat(n).reshape(diff.shape)
         far = (diff > epsilon).astype(np.float64)
-        ones = _ones_vector(n)
+        ones = _ones(n)
         # the counts are sums of 0s and 1s below 2^53, exact in any order, so BLAS takes them
         above = (far @ ones).astype(np.intp)
         np.abs(diff, out=diff)
@@ -402,7 +395,10 @@ def neighbor_means(x: np.ndarray, epsilon: float) -> np.ndarray:
     Up to ``_DENSE_MAX_N`` agents the sum is a matmul on a 0/1 float mask,
     which a row keeps between calls while its movement provably leaves it
     unchanged; above, prefix sums over the sorted row. The two sums differ
-    by O(n * 2^-52); the neighbours and the hull are the same.
+    by O(n * 2^-52); the neighbours and the hull are the same. Above
+    ``_DENSE_MAX_N``, a call whose spread w = max - min over all its rows
+    makes 2(w + 2 min(epsilon, w) + 1) max(rows, n) overflow is refused with
+    a ``ValueError`` before any search, and without an overflow warning.
     """
     if not epsilon > 0.0:
         raise ValueError(f"confidence threshold epsilon must be > 0, got {epsilon!r}")
@@ -423,7 +419,7 @@ def neighbor_means(x: np.ndarray, epsilon: float) -> np.ndarray:
     if (ordered.item(n - 1) - ordered.item(0) <= within and (x.size == n or (
             np.isfinite(ordered[..., 0]).all()
             and np.maximum.reduce(ordered[..., -1] - ordered[..., 0], None) <= within))):
-        means = (_ones(n) @ x[..., None])[..., 0] / n
+        means = (_ones(n, n) @ x[..., None])[..., 0] / n
         # per-agent bounds: broadcast (..., 1) bounds can flip the sign of a zero mean
         return means.clip(ordered[..., :1].repeat(n, -1), ordered[..., -1:].repeat(n, -1))
     return _mask_means(x, ordered, epsilon)

@@ -137,8 +137,11 @@ def draw_noise(rng: np.random.Generator, n: int | tuple[int, ...], delta: float)
     successive draws of n.
     """
     delta = dyn._check_real("delta", delta, "[0, inf)")
-    u = rng.random(n)
-    # in place, the same operations as delta * (2.0 * u - 1.0)
+    return _to_noise(rng.random(n), delta)
+
+
+def _to_noise(u: np.ndarray, delta: float) -> np.ndarray:
+    """Map uniforms ``u`` to delta*(2u - 1) in place, by that form's operations in its order."""
     u *= 2.0
     u -= 1.0
     u *= delta
@@ -180,11 +183,8 @@ def _run_batch(spec: RunSpec, seeds: Sequence[int]) -> list[TrajectoryRecord]:
         if iid:
             for rng, rows in zip(rngs, noise):
                 rng.random(out=rows[:k])
-            # draw_noise's operations, once for the whole block; ModelConfig checked delta
-            block = noise[:, :k]
-            block *= 2.0
-            block -= 1.0
-            block *= cfg.delta
+            # draw_noise's mapping, once for the whole block; ModelConfig checked delta
+            _to_noise(noise[:, :k], cfg.delta)
         for j in range(k):
             x = dyn._step(x, cfg, noise[:, j] if iid else steer)
             xs[:, j] = x

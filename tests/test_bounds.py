@@ -3,7 +3,9 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from hktruth import dynamics as dyn
 from hktruth.bounds import (
+    band_slack,
     block_length,
     bounds_for_config,
     compute_bounds,
@@ -131,6 +133,37 @@ class TestAdmissibility:
     def test_zero_noise_not_admissible(self):
         nb = compute_bounds(**REF, delta=0.0)
         assert not nb.admissible
+
+    @pytest.mark.parametrize("fraction", [1.0, 0.999])
+    def test_the_band_lemma_needs_delta_below_delta_lower_in_floats(self, fraction):
+        # at delta_lower, fl(delta1 + delta2) passes epsilon by an ulp: a seeker at
+        # A + delta1 and a non-seeker at A - delta2 stop being neighbours, and one
+        # worst-case step from a band corner leaves the band by a full delta
+        n, alpha, eps, truth = 22, 0.06928255667714005, 0.15432559066118634, 0.15008025291603644
+        delta_lower = compute_bounds(n, 4, alpha, eps, 0.0).delta_lower
+        cfg = ModelConfig(n, eps, truth, alpha, range(4), fraction * delta_lower)
+        nb = bounds_for_config(cfg)
+        assert nb.admissible
+        # corners: every agent at +-its bound, nudged toward the truth until inside
+        bound = np.where(cfg.seeker_mask, nb.delta1, nb.delta2)
+        signs = np.random.Generator(np.random.PCG64(29)).choice([-1.0, 1.0], (500, n))
+        x = truth + signs * bound
+        while np.any(outside := np.abs(x - truth) > bound):
+            x = np.where(outside, np.nextafter(x, truth), x)
+
+        def worst(means, config):
+            # +delta where the target (as _step builds it) is >= the truth, -delta below
+            targets = np.subtract(config.truth, means)
+            targets *= config.effective_alpha
+            targets += means
+            return np.where(targets >= config.truth, config.delta, -config.delta)
+
+        _, d_s, d_sbar = dyn.subset_deviations(dyn._step(x, cfg, worst), cfg)
+        slack = np.min(band_slack(d_s, d_sbar, nb)) / cfg.delta
+        if fraction == 1.0:
+            assert slack <= -0.9
+        else:
+            assert slack >= 0.0
 
 
 class TestAbsorbingBand:

@@ -403,10 +403,11 @@ class TestNeighborMeans:
             assert_same_bits(neighbor_means([x.tolist()] * 2, eps),
                              neighbor_means(np.stack([x, x]), eps))
 
-    def test_a_dense_call_holds_two_float_pairwise_arrays(self):
-        # the difference, whose buffer becomes the mask, and the far-above floats,
-        # with the comparison's bool temporary and a few row-sized results
-        x = np.random.Generator(np.random.PCG64(53)).random((64, 20))
+    @pytest.mark.parametrize("shape", [(64, 20), (16, _DENSE_MAX_N)], ids=str)
+    def test_a_reused_call_holds_under_half_a_pairwise_array(self, shape):
+        # a repeat reuses every row's mask: it holds row-sized arrays and the
+        # per-row certificate, never a pairwise one (TestMaskReuse bounds a build)
+        x = np.random.Generator(np.random.PCG64(53)).random(shape)
         pairwise = x.size * x.shape[-1] * 8
         neighbor_means(x, 0.2)
         tracemalloc.start()
@@ -415,7 +416,23 @@ class TestNeighborMeans:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 2.25 * pairwise
+        assert peak < 0.5 * pairwise
+
+    @pytest.mark.parametrize("rows", [1, 3])
+    def test_a_spread_that_overflows_the_window_sums_is_refused(self, rows):
+        # alone and as one row of a batch: refused before the search, with no
+        # overflow warning (the suite turns warnings into errors)
+        x = np.linspace(0.0, 1.0, 200)
+        x[0], x[-1] = -1e308, 1e308
+        rng = np.random.Generator(np.random.PCG64(61))
+        profile = x if rows == 1 else np.stack([rng.random(200), x, rng.random(200)])
+        for eps in (0.2, np.inf):
+            with pytest.raises(ValueError, match="spreads too wide"):
+                neighbor_means(profile, eps)
+        # a wide spread that fits is summed, every mean inside its hull
+        wide = np.linspace(0.0, 1e300, 200)
+        means = neighbor_means(np.stack([wide] * rows), 0.2)
+        assert np.all(np.isfinite(means)) and np.all((means >= 0.0) & (means <= 1e300))
 
 
 class TestStepNoiseFree:
@@ -634,10 +651,10 @@ class TestSameBitsAsTheNumpyForm:
                 assert_steps_match_the_numpy_form(batch, cfg, noise)
 
     def test_a_group_within_epsilon_skips_the_pairwise_mask(self, monkeypatch):
-        # the shortcut reads the cached ones matrix; the mask path never does
+        # the shortcut reads the cached ones matrix; the mask path reads only the ones vector
         calls = []
         ones = dyn._ones
-        monkeypatch.setattr(dyn, "_ones", lambda n: calls.append(n) or ones(n))
+        monkeypatch.setattr(dyn, "_ones", lambda *shape: calls.append(shape) or ones(*shape))
         rng = np.random.Generator(np.random.PCG64(43))
         for n in (1, 2, 25, _DENSE_MAX_N):
             for x, eps, within in consensus_profiles(rng, n):
@@ -646,7 +663,8 @@ class TestSameBitsAsTheNumpyForm:
                                           (batch_out, within and (n == 1 or eps >= 1.0))):
                     calls.clear()
                     neighbor_means(profile, eps)
-                    assert calls == ([n] if shortcut else []), (n, eps, profile)
+                    matrices = [shape for shape in calls if len(shape) == 2]
+                    assert matrices == ([(n, n)] if shortcut else []), (n, eps, profile)
 
 
 def count_builds(monkeypatch):

@@ -133,10 +133,7 @@ class ModelConfig:
 
     def homogeneous_alpha(self) -> float | None:
         """The common attraction strength, or None if entries differ."""
-        first = self.alpha[0]
-        if self.alpha.count(first) == self.n:
-            return first
-        return None
+        return self.alpha[0] if self.alpha.count(self.alpha[0]) == self.n else None
 
 
 def _check_int(name: str, value: object, least: int, most: int | None = None) -> None:
@@ -221,9 +218,11 @@ def _windows(s: np.ndarray, epsilon: float) -> tuple[np.ndarray, np.ndarray]:
     # exceeds the width, so this cap keeps every window
     width = high - low
     epsilon = min(float(epsilon), width)
-    span = width + 2.0 * epsilon + 1.0
-    # the keys stay below span * rows and a row's prefix sums near n * width
-    if not 2.0 * span * max(rows, n) <= _FLOAT_MAX:
+    # rows start span apart: the gap, width + 2 epsilon + 1, outgrows the keys' rounding
+    span = 2.0 * (width + epsilon) + 1.0
+    # keys stay below span * rows, a row's re-centred prefix sums below n * its spread
+    if not (2.0 * span * rows <= _FLOAT_MAX and (
+            n * width <= _FLOAT_MAX or n * float((s[:, -1] - s[:, 0]).max()) <= _FLOAT_MAX)):
         raise ValueError(_TOO_WIDE)
     keys = s - low
     if rows > 1:
@@ -396,9 +395,10 @@ def neighbor_means(x: np.ndarray, epsilon: float) -> np.ndarray:
     which a row keeps between calls while its movement provably leaves it
     unchanged; above, prefix sums over the sorted row. The two sums differ
     by O(n * 2^-52); the neighbours and the hull are the same. Above
-    ``_DENSE_MAX_N``, a call whose spread w = max - min over all its rows
-    makes 2(w + 2 min(epsilon, w) + 1) max(rows, n) overflow is refused with
-    a ``ValueError`` before any search, and without an overflow warning.
+    ``_DENSE_MAX_N``, a call is refused with a ``ValueError`` before any
+    search, without an overflow warning, when n w_r or 2 rows (2w + 2
+    min(epsilon, w) + 1) passes the float maximum, w_r a row's max - min
+    and w the call's; so a batch can be refused whose rows alone are not.
     """
     if not epsilon > 0.0:
         raise ValueError(f"confidence threshold epsilon must be > 0, got {epsilon!r}")

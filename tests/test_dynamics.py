@@ -434,6 +434,34 @@ class TestNeighborMeans:
         means = neighbor_means(np.stack([wide] * rows), 0.2)
         assert np.all(np.isfinite(means)) and np.all((means >= 0.0) & (means <= 1e300))
 
+    def test_the_prefix_bound_is_each_rows_own_spread(self):
+        # n * w = 1e308 fits, and beside a narrow row far off each row keeps its bits
+        wide = np.linspace(0.0, 5e305, 200)
+        far = 1e306 + np.linspace(0.0, 1e295, 200)
+        alone = [neighbor_means(row, 0.2) for row in (wide, far)]
+        for batch in ([wide, far], [np.linspace(0.0, 1.0, 200), far]):
+            out = neighbor_means(np.stack(batch), 0.2)
+            np.testing.assert_array_equal(out[1], alone[1])
+        np.testing.assert_array_equal(neighbor_means(np.stack([wide, wide]), 0.2)[0], alone[0])
+
+    @pytest.mark.parametrize("spread", [1e15, 1e17])
+    def test_rows_spread_past_the_keys_resolution_keep_their_bits_in_a_batch(self, spread):
+        # rows whose span rounds off epsilon + 1 once kept too little gap between
+        # a row's last key and the next row's first, and shared a window
+        row = np.linspace(0.0, spread, 200)
+        alone = neighbor_means(row, 0.2)
+        for out in neighbor_means(np.stack([row, row, row]), 0.2):
+            np.testing.assert_array_equal(out, alone)
+
+    def test_a_batch_too_wide_for_its_keys_is_refused_though_its_rows_are_not(self):
+        # each row spans 1e305 and is summed alone; laid end to end the two span 2e308
+        low = np.linspace(-1e308, -1e308 + 1e305, 200)
+        rows = [low, -low[::-1]]
+        for row in rows:
+            assert np.all(np.isfinite(neighbor_means(row, 0.2)))
+        with pytest.raises(ValueError, match="spreads too wide"):
+            neighbor_means(np.stack(rows), 0.2)
+
 
 class TestStepNoiseFree:
     def test_two_agent_hand_example(self):

@@ -23,7 +23,7 @@ def tool():
 
 def test_a_tree_against_itself_on_one_tiny_case(tool, capsys):
     start = time.perf_counter()
-    argv = [str(ROOT), str(ROOT), "--blocks", "2", "--calls", "3", "--cases", "reuse-1x8"]
+    argv = [str(ROOT), str(ROOT), "--blocks", "2", "--cases", "reuse-1x8"]
     assert tool.main(argv) == 0
     assert time.perf_counter() - start < 2.0
     out = json.loads(capsys.readouterr().out)

@@ -1,16 +1,17 @@
 """Time ``dynamics.neighbor_means`` of two source trees side by side, in one process.
 
-    python tools/side_by_side.py BASE [HEAD] [--blocks N] [--calls N] [--cases a,b]
+    python tools/side_by_side.py BASE [HEAD] [--blocks N] [--cases a,b]
 
 BASE and HEAD are source trees (a directory holding ``src/hktruth``) or
 git revisions of this repository, which are laid out with local
 ``git archive`` into a temporary directory. HEAD defaults to the
-current directory. Run it from the repository root. Both ``dynamics`` modules are imported under
-distinct names, so each keeps its own mask memo. Every case is timed in
-alternating blocks, the side that goes first swapping from block to
-block, and the script prints the best and the median µs per call of
-each side as JSON. Pin BLAS to one thread (``OPENBLAS_NUM_THREADS=1``)
-for figures comparable with the repository's BENCH files.
+current directory. Run it from the repository root. Both ``dynamics``
+modules are imported under distinct names, so each keeps its own mask
+memo. Every case is timed in alternating blocks of ``CALLS`` calls, the
+side that goes first swapping from block to block, and the script
+prints the best and the median µs per call of each side as JSON. Pin
+BLAS to one thread (``OPENBLAS_NUM_THREADS=1``) for figures comparable
+with the repository's BENCH files.
 """
 
 from __future__ import annotations
@@ -33,6 +34,7 @@ import numpy as np
 
 REPO = Path(__file__).resolve().parent.parent
 THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+CALLS = 50  # per block
 
 
 def _cases() -> dict[str, tuple[str, list[np.ndarray], float]]:
@@ -75,18 +77,18 @@ def _load(path: Path, name: str):
     return module
 
 
-def _block(means, profiles: list[np.ndarray], epsilon: float, calls: int) -> float:
-    """µs per call over ``calls`` calls cycling through ``profiles``, after one of each."""
-    sequence = [profiles[i % len(profiles)] for i in range(calls)]
+def _block(means, profiles: list[np.ndarray], epsilon: float) -> float:
+    """µs per call over ``CALLS`` calls cycling through ``profiles``, after one of each."""
+    sequence = [profiles[i % len(profiles)] for i in range(CALLS)]
     for x in profiles:
         means(x, epsilon)
     start = time.perf_counter()
     for x in sequence:
         means(x, epsilon)
-    return (time.perf_counter() - start) / calls * 1e6
+    return (time.perf_counter() - start) / CALLS * 1e6
 
 
-def compare(base: str, head: str, blocks: int, calls: int, names: list[str] | None) -> dict:
+def compare(base: str, head: str, blocks: int, names: list[str] | None) -> dict:
     cases = _cases()
     sides = {"base": base, "head": head}
     with tempfile.TemporaryDirectory() as scratch:
@@ -98,13 +100,13 @@ def compare(base: str, head: str, blocks: int, calls: int, names: list[str] | No
         times: dict[str, list[float]] = {side: [] for side in sides}
         for b in range(blocks):
             for side in (("base", "head") if b % 2 == 0 else ("head", "base")):
-                times[side].append(_block(kernels[side].neighbor_means, profiles, epsilon, calls))
+                times[side].append(_block(kernels[side].neighbor_means, profiles, epsilon))
         result[name] = {"selects": what, "shape": list(profiles[0].shape), "epsilon": epsilon}
         for side, ts in times.items():
             result[name][side] = {"best_us": round(min(ts), 2),
                                   "median_us": round(statistics.median(ts), 2)}
     return {
-        "base": base, "head": head, "blocks": blocks, "calls_per_block": calls,
+        "base": base, "head": head, "blocks": blocks, "calls_per_block": CALLS,
         "environment": {
             "python": platform.python_version(), "numpy": np.__version__,
             "machine": platform.machine(), "processor": platform.processor(),
@@ -119,7 +121,6 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("base", help="source tree or git revision")
     parser.add_argument("head", nargs="?", default=".", help="source tree or git revision")
     parser.add_argument("--blocks", type=int, default=200, help="timed blocks per side and case")
-    parser.add_argument("--calls", type=int, default=50, help="calls per block")
     known = list(_cases())
     parser.add_argument("--cases", help=f"comma-separated subset of: {', '.join(known)}")
     args = parser.parse_args(argv)
@@ -127,7 +128,7 @@ def main(argv: list[str] | None = None) -> int:
     unknown = set(names or ()) - set(known)
     if unknown:
         parser.error(f"unknown cases: {', '.join(sorted(unknown))}")
-    print(json.dumps(compare(args.base, args.head, args.blocks, args.calls, names), indent=1))
+    print(json.dumps(compare(args.base, args.head, args.blocks, names), indent=1))
     return 0
 
 

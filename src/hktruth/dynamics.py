@@ -133,7 +133,10 @@ class ModelConfig:
 
     def homogeneous_alpha(self) -> float | None:
         """The common attraction strength, or None if entries differ."""
-        return self.alpha[0] if self.alpha.count(self.alpha[0]) == self.n else None
+        first = self.alpha[0]
+        if self.alpha.count(first) == self.n:
+            return first
+        return None
 
 
 def _check_int(name: str, value: object, least: int, most: int | None = None) -> None:
@@ -218,9 +221,9 @@ def _windows(s: np.ndarray, epsilon: float) -> tuple[np.ndarray, np.ndarray]:
     # exceeds the width, so this cap keeps every window
     width = high - low
     epsilon = min(float(epsilon), width)
-    # rows start span apart: the gap, width + 2 epsilon + 1, outgrows the keys' rounding
+    # rows start span apart, a gap of width + 2 epsilon + 1 past the keys' rounding; keys
+    # stay below span * rows and a row's re-centred prefix sums below n * its spread
     span = 2.0 * (width + epsilon) + 1.0
-    # keys stay below span * rows, a row's re-centred prefix sums below n * its spread
     if not (2.0 * span * rows <= _FLOAT_MAX and (
             n * width <= _FLOAT_MAX or n * float((s[:, -1] - s[:, 0]).max()) <= _FLOAT_MAX)):
         raise ValueError(_TOO_WIDE)
@@ -395,10 +398,9 @@ def neighbor_means(x: np.ndarray, epsilon: float) -> np.ndarray:
     which a row keeps between calls while its movement provably leaves it
     unchanged; above, prefix sums over the sorted row. The two sums differ
     by O(n * 2^-52); the neighbours and the hull are the same. Above
-    ``_DENSE_MAX_N``, a call is refused with a ``ValueError`` before any
-    search, without an overflow warning, when n w_r or 2 rows (2w + 2
-    min(epsilon, w) + 1) passes the float maximum, w_r a row's max - min
-    and w the call's; so a batch can be refused whose rows alone are not.
+    ``_DENSE_MAX_N``, a call is refused with a ``ValueError``, before any search
+    and without an overflow warning, when a row's prefix sums or the batch's sort
+    keys could overflow, so a batch can be refused whose rows alone are not.
     """
     if not epsilon > 0.0:
         raise ValueError(f"confidence threshold epsilon must be > 0, got {epsilon!r}")

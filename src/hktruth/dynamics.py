@@ -10,9 +10,9 @@ A profile is a float64 vector of ``n`` opinions, or a batch ``(..., n)`` of
 them stepped row by row, each row bit for bit the same alone or in a
 batch. A step is pure, and noise is an explicit input. The public ``step``
 checks its profile with ``validate_state`` and its noise against
-``delta``; its kernel ``_step`` checks nothing, for a run loop that
-validated once up front. README describes how the kernels compute and
-what they cost.
+``delta``; its kernel ``_step`` checks only, in ``neighbor_means``, that
+every opinion is finite and in [0, 1], for a run loop that validated once
+up front. README describes how the kernels compute and what they cost.
 """
 
 from __future__ import annotations
@@ -38,9 +38,6 @@ _DENSE_MAX_N = 128
 # dense rows keep their masks between calls, and an ensemble steps its runs
 # together, only while rows * n^2 is at most this many floats (2 MiB)
 _BATCH_CELLS = 1 << 18
-_FLOAT_MAX = float(np.finfo(np.float64).max)
-_NON_FINITE = "opinion vector contains non-finite values"
-_TOO_WIDE = "opinion vector spreads too wide to sum without overflow"
 
 
 @dataclass(frozen=True)
@@ -175,11 +172,20 @@ def validate_state(x: np.ndarray | Sequence[float], config: ModelConfig) -> np.n
     arr = np.asarray(x, dtype=np.float64)
     if arr.shape != (config.n,):
         raise ValueError(f"opinion vector must have shape ({config.n},), got {arr.shape}")
-    if not np.all(np.isfinite(arr)):
-        raise ValueError(_NON_FINITE)
-    if np.any(arr < 0.0) or np.any(arr > 1.0):
-        raise ValueError("every opinion must be in [0, 1]")
+    _check_ends(arr.min(), arr.max())
     return arr
+
+
+def _check_ends(least: float, greatest: float) -> None:
+    """Refuse a profile unless its least and greatest opinions are finite and in [0, 1].
+
+    A NaN anywhere must reach one of the two, as ``min`` and ``max`` carry it
+    and a sort puts it last.
+    """
+    if not (0.0 <= least and greatest <= 1.0):
+        if np.isfinite(least) and np.isfinite(greatest):
+            raise ValueError("every opinion must be in [0, 1]")
+        raise ValueError("opinion vector contains non-finite values")
 
 
 def _check_noise(
@@ -203,7 +209,7 @@ def clamp_vector(values: np.ndarray) -> np.ndarray:
 
 
 def _windows(s: np.ndarray, epsilon: float) -> tuple[np.ndarray, np.ndarray]:
-    """Closed-test windows of sorted rows; NaN, +-inf and spreads that could overflow are refused.
+    """Closed-test windows of sorted rows, whose opinions must be finite and in [0, 1].
 
     ``s`` is ``(R, n)`` with every row sorted. Returns flat indices into
     ``s.ravel()``: the neighbours of entry i are entries [lo[i], hi[i]), the
@@ -213,24 +219,12 @@ def _windows(s: np.ndarray, epsilon: float) -> tuple[np.ndarray, np.ndarray]:
     its edge, and hi[i] counts the j with lo[j] <= i.
     """
     rows, n = s.shape
-    low, high = float(s[:, 0].min()), float(s[:, -1].max())
-    # a NaN sorts last, so the rows are finite exactly when these two are
-    if not (-_FLOAT_MAX <= low and high <= _FLOAT_MAX):
-        raise ValueError(_NON_FINITE)
-    # Python floats, which overflow to inf without a warning. No |fl(s_j - s_i)|
-    # exceeds the width, so this cap keeps every window
-    width = high - low
-    epsilon = min(float(epsilon), width)
-    # rows start span apart, a gap of width + 2 epsilon + 1 past the keys' rounding; keys
-    # stay below span * rows and a row's re-centred prefix sums below n * its spread
-    span = 2.0 * (width + epsilon) + 1.0
-    if not (2.0 * span * rows <= _FLOAT_MAX and (
-            n * width <= _FLOAT_MAX or n * float((s[:, -1] - s[:, 0]).max()) <= _FLOAT_MAX)):
-        raise ValueError(_TOO_WIDE)
-    keys = s - low
-    if rows > 1:
-        keys += span * np.arange(rows)[:, None]
-    keys = keys.ravel()
+    _check_ends(s[:, 0].min(), s[:, -1].max())
+    # no |fl(s_j - s_i)| exceeds 1, so this cap keeps every window, and the keys finite
+    epsilon = min(float(epsilon), 1.0)
+    # rows start span apart, a gap of 2 epsilon + 2 past the keys' rounding
+    span = 2.0 * (1.0 + epsilon) + 1.0
+    keys = (s + span * np.arange(rows)[:, None] if rows > 1 else s).ravel()
     tol = 2.0**-48 * span * rows
     flat = s.ravel()
     # first neighbour: first j with fl(s_i - s_j) <= epsilon, which is <= i
@@ -298,7 +292,7 @@ class _Masks:
     def __init__(self, key: tuple, flat: np.ndarray) -> None:
         rows, n = flat.shape
         self.key = key
-        self.x0 = np.zeros_like(flat)  # finite, so no first move computes inf - inf
+        self.x0 = np.zeros_like(flat)
         self.room = np.full(rows, np.nan)  # so every row fails the certificate
         # flat index of the largest opinion of each agent's row
         self.last = np.arange(n - 1, rows * n, n).repeat(n)
@@ -315,13 +309,11 @@ class _Masks:
         new difference to round to its side; and of the test m < fl(``room``
         / 2), ``room`` = fl(g - slack), u*g + 2^-1074. With 2m < g <= epsilon
         that is below 9.1u*epsilon + 2^-1073, so the slack 2^-49*epsilon +
-        2^-1073 = 16u*epsilon + 2^-1073 covers it. A NaN move fails the test.
+        2^-1073 = 16u*epsilon + 2^-1073 covers it.
         """
         rows, n = flat.shape
         every = stale is None or stale.size == rows
         xb = flat if every else flat[stale]
-        if not np.isfinite(xb).all():
-            raise ValueError(_NON_FINITE)
         k = len(xb)
         # diff[r*n + i, j] = fl(x_j - x_i) of row r, rows end to end and C order, so the
         # mask in its buffer takes the BLAS matmul: one pass over two C-contiguous
@@ -367,7 +359,7 @@ def _mask_means(x: np.ndarray, ordered: np.ndarray, epsilon: float) -> np.ndarra
     if masks is None or masks.key != (epsilon, x.shape):
         masks = _Masks((epsilon, x.shape), flat)
     moved = np.abs(flat - masks.x0)
-    # each test is written so that a NaN move fails it
+    # each test is written so that a new slot's NaN room fails it
     if rows == 1:  # one scalar test
         if not np.maximum.reduce(moved, None) < 0.5 * masks.room[0]:
             masks.rebuild(flat, None, epsilon)
@@ -393,14 +385,13 @@ def neighbor_means(x: np.ndarray, epsilon: float) -> np.ndarray:
     [0, 1] without clamping. Leading axes of ``x`` are batch axes, and a
     row's means are bit for bit the same alone or in a batch. A list, a
     view or a float32 profile gets the bits of its C-contiguous float64
-    copy; NaN and +-inf are refused with ``validate_state``'s ``ValueError``.
-    Up to ``_DENSE_MAX_N`` agents the sum is a matmul on a 0/1 float mask,
-    which a row keeps between calls while its movement provably leaves it
-    unchanged; above, prefix sums over the sorted row. The two sums differ
-    by O(n * 2^-52); the neighbours and the hull are the same. Above
-    ``_DENSE_MAX_N``, a call is refused with a ``ValueError``, before any search
-    and without an overflow warning, when a row's prefix sums or the batch's sort
-    keys could overflow, so a batch can be refused whose rows alone are not.
+    copy. Every opinion must be finite and in [0, 1], or the call raises
+    ``validate_state``'s ``ValueError``; so a batch is refused exactly when
+    one of its rows alone is. Up to ``_DENSE_MAX_N`` agents the sum is a
+    matmul on a 0/1 float mask, which a row keeps between calls while its
+    movement provably leaves it unchanged; above, prefix sums over the
+    sorted row. The two sums differ by O(n * 2^-52); the neighbours and the
+    hull are the same.
     """
     if not epsilon > 0.0:
         raise ValueError(f"confidence threshold epsilon must be > 0, got {epsilon!r}")
@@ -413,14 +404,15 @@ def neighbor_means(x: np.ndarray, epsilon: float) -> np.ndarray:
         return _window_means(x, epsilon)
     ordered = x.copy()
     ordered.sort()
+    low, high = ordered.item(0), ordered.item(n - 1)  # row 0's ends
+    if x.size == n:
+        _check_ends(low, high)
+    else:
+        _check_ends(ordered[..., 0].min(), ordered[..., -1].max())
     # no |fl(x_j - x_i)| exceeds the spread fl(max - min), so a row within epsilon is one
-    # neighbourhood. Capped at the float maximum, the test sends a row with NaN or +-inf
-    # on to the mask path, which refuses it; finite row minima keep inf - inf out of the
-    # spreads. Row 0 first: a batch that is not one group mostly fails there
-    within = epsilon if epsilon <= _FLOAT_MAX else _FLOAT_MAX
-    if (ordered.item(n - 1) - ordered.item(0) <= within and (x.size == n or (
-            np.isfinite(ordered[..., 0]).all()
-            and np.maximum.reduce(ordered[..., -1] - ordered[..., 0], None) <= within))):
+    # neighbourhood. Row 0 first: a batch that is not one group mostly fails there
+    if high - low <= epsilon and (x.size == n or (
+            np.maximum.reduce(ordered[..., -1] - ordered[..., 0], None) <= epsilon)):
         means = (_ones(n, n) @ x[..., None])[..., 0] / n
         # per-agent bounds: broadcast (..., 1) bounds can flip the sign of a zero mean
         return means.clip(ordered[..., :1].repeat(n, -1), ordered[..., -1:].repeat(n, -1))

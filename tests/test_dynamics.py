@@ -418,49 +418,42 @@ class TestNeighborMeans:
             tracemalloc.stop()
         assert peak < 0.5 * pairwise
 
-    @pytest.mark.parametrize("rows", [1, 3])
-    def test_a_spread_that_overflows_the_window_sums_is_refused(self, rows):
-        # alone and as one row of a batch: refused before the search, with no
-        # overflow warning (the suite turns warnings into errors)
-        x = np.linspace(0.0, 1.0, 200)
-        x[0], x[-1] = -1e308, 1e308
-        rng = np.random.Generator(np.random.PCG64(61))
-        profile = x if rows == 1 else np.stack([rng.random(200), x, rng.random(200)])
-        for eps in (0.2, np.inf):
-            with pytest.raises(ValueError, match="spreads too wide"):
-                neighbor_means(profile, eps)
-        # a wide spread that fits is summed, every mean inside its hull
-        wide = np.linspace(0.0, 1e300, 200)
-        means = neighbor_means(np.stack([wide] * rows), 0.2)
-        assert np.all(np.isfinite(means)) and np.all((means >= 0.0) & (means <= 1e300))
-
-    def test_the_prefix_bound_is_each_rows_own_spread(self):
-        # n * w = 1e308 fits, and beside a narrow row far off each row keeps its bits
-        wide = np.linspace(0.0, 5e305, 200)
-        far = 1e306 + np.linspace(0.0, 1e295, 200)
-        alone = [neighbor_means(row, 0.2) for row in (wide, far)]
-        for batch in ([wide, far], [np.linspace(0.0, 1.0, 200), far]):
-            out = neighbor_means(np.stack(batch), 0.2)
-            np.testing.assert_array_equal(out[1], alone[1])
-        np.testing.assert_array_equal(neighbor_means(np.stack([wide, wide]), 0.2)[0], alone[0])
-
-    @pytest.mark.parametrize("spread", [1e15, 1e17])
-    def test_rows_spread_past_the_keys_resolution_keep_their_bits_in_a_batch(self, spread):
-        # rows whose span rounds off epsilon + 1 once kept too little gap between
-        # a row's last key and the next row's first, and shared a window
-        row = np.linspace(0.0, spread, 200)
-        alone = neighbor_means(row, 0.2)
-        for out in neighbor_means(np.stack([row, row, row]), 0.2):
-            np.testing.assert_array_equal(out, alone)
-
-    def test_a_batch_too_wide_for_its_keys_is_refused_though_its_rows_are_not(self):
-        # each row spans 1e305 and is summed alone; laid end to end the two span 2e308
-        low = np.linspace(-1e308, -1e308 + 1e305, 200)
-        rows = [low, -low[::-1]]
-        for row in rows:
-            assert np.all(np.isfinite(neighbor_means(row, 0.2)))
-        with pytest.raises(ValueError, match="spreads too wide"):
-            neighbor_means(np.stack(rows), 0.2)
+    @pytest.mark.parametrize("n", [20, 200])
+    @pytest.mark.parametrize("bad", [-0.1, -5e-324, np.nextafter(1.0, 2.0), 1e308,
+                                     np.nan, np.inf, -np.inf],
+                             ids=["-0.1", "-5e-324", "1+ulp", "1e308", "nan", "inf", "-inf"])
+    def test_an_opinion_outside_the_unit_interval_is_refused(self, n, bad):
+        # one opinion outside [0, 1], first, middle or last: alone and as the
+        # middle row of three, the kernel, the validator and the step raise one
+        # message, with no overflow warning (the suite turns warnings into
+        # errors). The nearest end of [0, 1] in its place, -0.0 or 1.0, is kept
+        # with its bits, alone and in the batch
+        message = r"must be in \[0, 1\]" if np.isfinite(bad) else "contains non-finite values"
+        end = -0.0 if bad < 0.0 else 1.0
+        rng = np.random.Generator(np.random.PCG64(61 + n))
+        cfg = make_config(n=n)
+        for at in (0, n // 2, n - 1):
+            good = rng.random((3, n))
+            good[1, at] = end
+            batch = good.copy()
+            batch[1, at] = bad
+            for eps in (0.2, np.inf):
+                for profile in (batch[1], batch):
+                    with pytest.raises(ValueError, match=message):
+                        neighbor_means(profile, eps)
+                    with pytest.raises(ValueError, match=message):
+                        _step(profile, cfg)
+            for call in (validate_state, step):
+                with pytest.raises(ValueError, match=message):
+                    call(batch[1], cfg)
+            assert_same_bits(validate_state(good[1], cfg), good[1])
+            for eps in (0.2, np.inf):
+                together = neighbor_means(good, eps)
+                for row, got in zip(good, together):
+                    assert_same_bits(got, neighbor_means(row, eps))
+                if n <= _DENSE_MAX_N:
+                    assert_same_bits(together, numpy_form_neighbor_means(good, eps))
+            assert_same_bits(step(good[1], cfg), _step(good, cfg)[1])
 
 
 class TestStepNoiseFree:
@@ -713,9 +706,9 @@ class TestMaskReuse:
     # movement proves that no pair has crossed epsilon
     @pytest.mark.parametrize("lead", [(), (1,), (3,), (50,), (2, 3)], ids=str)
     def test_walks_keep_the_bits_of_the_numpy_form(self, lead, monkeypatch):
-        # moves of 0, 1e-16, 1e-9, 1e-3 and 0.05 on some rows at a time, from
-        # and back onto a 1/8 grid, where ties and pairs exactly epsilon apart
-        # (0.125, 0.25) make a row's gap 0
+        # moves of 0, 1e-16, 1e-9, 1e-3 and 0.05 on some rows at a time, clipped
+        # into [0, 1], from and back onto a 1/8 grid, where ties and pairs
+        # exactly epsilon apart (0.125, 0.25) make a row's gap 0
         built = count_builds(monkeypatch)
         rng = np.random.Generator(np.random.PCG64(71 + len(lead) + sum(lead)))
         calls = 0
@@ -728,6 +721,7 @@ class TestMaskReuse:
                     move = float(rng.choice([0.0, 1e-16, 1e-9, 1e-3, 0.05]))
                     moving = rng.random(lead + (1,)) < 0.5
                     x = np.where(moving, x + move * rng.choice([-1.0, 0.0, 1.0], x.shape), x)
+                    x = x.clip(0.0, 1.0)
                     if t % 15 == 14:
                         x = np.round(x * 8.0) / 8.0
         # both paths were taken
@@ -758,7 +752,7 @@ class TestMaskReuse:
             (x, 0.2, None), (x, 0.2, []), (x + 1e-12, 0.2, []), (x, 0.21, [10]), (x, 0.21, []),
             (x[:5], 0.21, [5]), (x.reshape(2, 5, 20), 0.21, [10]), (x[0], 0.21, [1]),
             (x[0], 0.21, []), (x[0].reshape(1, 20), 0.21, [1]), (x, 0.21, [10]),
-            (np.vstack([x[:3], x[3:4] + 0.3, x[4:]]), 0.21, [1]), (x, 0.21, [1]),
+            (np.vstack([x[:3], 0.5 * x[3:4], x[4:]]), 0.21, [1]), (x, 0.21, [1]),
         ]
         for profile, eps, want in calls:
             built.clear()

@@ -52,6 +52,7 @@ def _cases() -> dict[str, tuple[str, list[np.ndarray], float]]:
     cases["partial-50x20"] = ("50 rows, 4 of them rebuilt every call", [x, y], 0.2)
     for n in (300, 2000):
         cases[f"window-1x{n}"] = ("one row, sorted-window kernel", [rng.random((1, n))], 0.2)
+    cases["window-4x300"] = ("4 rows, sorted-window kernel", [rng.random((4, 300))], 0.2)
     return cases
 
 

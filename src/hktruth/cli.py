@@ -337,22 +337,13 @@ def cmd_ensemble(settings: dict[str, Any], args: argparse.Namespace) -> int:
             yield record
 
     summary = summarize(records())
-    out.json("summary.json", {
-        "runs": summary.runs,
-        "seed_base": seeds.start,
-        "converged_fraction": summary.converged_fraction,
-        "tail_sup": {"min": summary.tail_sup_min, "median": summary.tail_sup_median,
-                     "max": summary.tail_sup_max},
-        "entry_time": {"count": summary.entry_count, "min": summary.entry_time_min,
-                       "median": summary.entry_time_median, "max": summary.entry_time_max},
-        "bounds": _bounds_dict(summary.bounds),
-    })
+    out.json("summary.json", {**dataclasses.asdict(summary), "seed_base": seeds.start})
     out.manifest("ensemble", spec, summary.bounds, seed_base=seeds.start, runs=len(seeds))
     frac = summary.converged_fraction
     print(
         f"ensemble: runs={len(seeds)} seed_base={seeds.start} "
         f"converged_fraction={'n/a' if frac is None else _fmt(frac)} "
-        f"tail_sup_max={_fmt(summary.tail_sup_max)} -> {out.dir}"
+        f"tail_sup_max={_fmt(summary.tail_sup['max'])} -> {out.dir}"
     )
     return EXIT_OK
 
@@ -402,7 +393,7 @@ def cmd_sweep(settings: dict[str, Any], args: argparse.Namespace) -> int:
         fields = (cfg.delta, cfg.alpha[0], cfg.m, cfg.epsilon,
                   nb.delta1, nb.delta2, nb.delta_bar, nb.delta_lower)
         rows.append(",".join([*map(_fmt, fields), str(nb.admissible).lower(),
-                              _fmt(summary.converged_fraction), _fmt(summary.tail_sup_median)]))
+                              _fmt(summary.converged_fraction), _fmt(summary.tail_sup["median"])]))
 
     header = ("delta,alpha,m,epsilon,delta1,delta2,delta_bar,delta_lower,admissible,"
               "converged_fraction,median_tail_sup")

@@ -61,20 +61,13 @@ class ModelConfig:
     seekers: frozenset[int]
     delta: float
 
-    def __init__(
-        self,
-        n: int,
-        epsilon: float,
-        truth: float,
-        alpha: float | Sequence[float],
-        seekers: Iterable[int],
-        delta: float,
-    ) -> None:
+    def __post_init__(self) -> None:
+        n, alpha = self.n, self.alpha
         _check_int("n", n, 1)
-        epsilon = _check_real("epsilon", epsilon, "(0, 1]")
-        truth = _check_real("truth", truth, "[0, 1]")
-        delta = _check_real("delta", delta, "[0, inf)")
-        seekers = tuple(seekers)
+        epsilon = _check_real("epsilon", self.epsilon, "(0, 1]")
+        truth = _check_real("truth", self.truth, "[0, 1]")
+        delta = _check_real("delta", self.delta, "[0, inf)")
+        seekers = tuple(self.seekers)
         for i in seekers:
             _check_int("seeker index", i, 0, n - 1)
         seekers_f = frozenset(int(i) for i in seekers)
@@ -89,12 +82,9 @@ class ModelConfig:
                 raise ValueError(f"alpha must have one entry per agent ({n}), got {len(alpha_t)}")
         else:
             alpha_t = (_check_real("alpha", alpha, "(0, 1]" if seekers_f else "[0, 1]"),) * int(n)
-        object.__setattr__(self, "n", int(n))
-        object.__setattr__(self, "epsilon", epsilon)
-        object.__setattr__(self, "truth", truth)
-        object.__setattr__(self, "alpha", alpha_t)
-        object.__setattr__(self, "seekers", seekers_f)
-        object.__setattr__(self, "delta", delta)
+        # stored past the frozen dataclass's __setattr__
+        vars(self).update(n=int(n), epsilon=epsilon, truth=truth, alpha=alpha_t,
+                          seekers=seekers_f, delta=delta)
 
     @property
     def m(self) -> int:
@@ -380,21 +370,22 @@ def neighbor_means(x: np.ndarray, epsilon: float) -> np.ndarray:
     """Neighborhood average for every agent of a raw opinion vector.
 
     The neighbours of x_i are the x_j with |fl(x_j - x_i)| <= epsilon, for
-    an ``epsilon`` > 0 (inf takes in every agent). Each mean is clipped into
-    the min/max hull of its neighbours, so the noise-free update stays in
-    [0, 1] without clamping. Leading axes of ``x`` are batch axes, and a
-    row's means are bit for bit the same alone or in a batch. A list, a
-    view or a float32 profile gets the bits of its C-contiguous float64
-    copy. Every opinion must be finite and in [0, 1], or the call raises
-    ``validate_state``'s ``ValueError``; so a batch is refused exactly when
-    one of its rows alone is. Up to ``_DENSE_MAX_N`` agents the sum is a
-    matmul on a 0/1 float mask, which a row keeps between calls while its
-    movement provably leaves it unchanged; above, prefix sums over the
-    sorted row. The two sums differ by O(n * 2^-52); the neighbours and the
-    hull are the same.
+    ``epsilon`` a real number in (0, inf] (inf takes in every agent), a
+    float by one comparison and anything else by ``_check_real``. Each mean
+    is clipped into the min/max hull of its neighbours, so the noise-free
+    update stays in [0, 1] without clamping. Leading axes of ``x`` are batch
+    axes, and a row's means are bit for bit the same alone or in a batch. A
+    list, a view or a float32 profile gets the bits of its C-contiguous
+    float64 copy. Every opinion must be finite and in [0, 1], or the call
+    raises ``validate_state``'s ``ValueError``; so a batch is refused
+    exactly when one of its rows alone is. Up to ``_DENSE_MAX_N`` agents the
+    sum is a matmul on a 0/1 float mask, which a row keeps between calls
+    while its movement provably leaves it unchanged; above, prefix sums over
+    the sorted row. The two sums differ by O(n * 2^-52); the neighbours and
+    the hull are the same.
     """
-    if not epsilon > 0.0:
-        raise ValueError(f"confidence threshold epsilon must be > 0, got {epsilon!r}")
+    if not (isinstance(epsilon, float) and epsilon > 0.0):
+        epsilon = _check_real("epsilon", epsilon, "(0, inf]")
     # a view's matmul leaves the BLAS path, and float32 would be summed in float32
     x = np.ascontiguousarray(x, dtype=np.float64)
     n = x.shape[-1]
@@ -476,8 +467,7 @@ def subset_deviations(
     signed + for the seekers and - for the rest, with no gathered copy.
     """
     # one block-sized temporary: each one of more than ~128 KB costs page faults.
-    # Written agents outermost it takes a stream of writes per agent, which cost
-    # more than they save above about 100 agents (0.7-1.0x the time at n = 50, 1.2-1.5x at 128)
+    # Written agents outermost it takes a stream of writes per agent, which pays up to n = 64
     across = xs.size >= config.n**2 and config.n <= 64
     d = np.subtract(xs, config.truth, order="F" if across else "K")
     np.copysign(d, np.where(config.seeker_mask, 1.0, -1.0), out=d)

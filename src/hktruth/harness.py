@@ -116,17 +116,17 @@ class TrajectoryRecord:
 
 @dataclass(frozen=True)
 class EnsembleSummary:
-    """Aggregate convergence statistics across seeded runs."""
+    """Aggregate convergence statistics across seeded runs, laid out as summary.json.
+
+    ``tail_sup`` holds the runs' tail suprema as {min, median, max}, and
+    ``entry_time`` the count of runs with an entry time and, over them, its
+    {min, median, max}, each None when no run entered.
+    """
 
     runs: int
     converged_fraction: float | None
-    tail_sup_min: float
-    tail_sup_median: float
-    tail_sup_max: float
-    entry_count: int
-    entry_time_min: int | None
-    entry_time_median: float | None
-    entry_time_max: int | None
+    tail_sup: dict[str, float]
+    entry_time: dict[str, int | float | None]
     bounds: NoiseBounds | None
 
 
@@ -251,12 +251,10 @@ def summarize(records: Iterable[TrajectoryRecord]) -> EnsembleSummary:
     return EnsembleSummary(
         runs=len(tail_sups),
         converged_fraction=converged,
-        tail_sup_min=float(np.min(tail_sups)),
-        tail_sup_median=float(np.median(tail_sups)),
-        tail_sup_max=float(np.max(tail_sups)),
-        entry_count=len(entries),
-        entry_time_min=min(entries) if entries else None,
-        entry_time_median=float(np.median(entries)) if entries else None,
-        entry_time_max=max(entries) if entries else None,
+        tail_sup={"min": float(np.min(tail_sups)), "median": float(np.median(tail_sups)),
+                  "max": float(np.max(tail_sups))},
+        entry_time={"count": len(entries), "min": min(entries) if entries else None,
+                    "median": float(np.median(entries)) if entries else None,
+                    "max": max(entries) if entries else None},
         bounds=nb,
     )

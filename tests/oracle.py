@@ -51,6 +51,15 @@ def local_mean(x: Sequence[float], i: int, epsilon: float) -> float:
     return float(min(max(mean, members.min()), members.max()))
 
 
+def classical_step(x: Sequence[float], epsilon: float) -> list[float]:
+    """One noise-free step without seekers, in plain Python: each agent's neighbourhood mean."""
+    out = []
+    for xi in x:
+        nbrs = [xj for xj in x if abs(xj - xi) <= epsilon]
+        out.append(sum(nbrs) / len(nbrs))
+    return out
+
+
 def deviation(x: Sequence[float], subset: Iterable[int], truth: float) -> float:
     """Largest distance to the truth over a nonempty set of agents."""
     x = np.asarray(x, dtype=np.float64)

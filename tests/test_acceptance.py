@@ -30,7 +30,7 @@ from hktruth.verify import (
     sample_admissible_config,
     steered_walk,
 )
-from oracle import running_averages
+from oracle import classical_step, running_averages
 
 REF_CONFIG = ModelConfig(n=20, epsilon=0.2, truth=0.8, alpha=0.5, seekers=range(10), delta=0.02)
 
@@ -200,13 +200,6 @@ def test_criterion_10_degenerate_reductions():
 
     # no seekers, no noise: classical bounded-confidence averaging, checked
     # against an independent plain-Python reference step
-    def classical_step(x: list[float], eps: float) -> list[float]:
-        out = []
-        for xi in x:
-            nbrs = [xj for xj in x if abs(xj - xi) <= eps]
-            out.append(sum(nbrs) / len(nbrs))
-        return out
-
     worst = 0.0
     for _ in range(100):
         n = int(rng.integers(1, 15))

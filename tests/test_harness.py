@@ -23,6 +23,7 @@ from hktruth.harness import (
     run_trajectory,
     summarize,
 )
+from oracle import classical_step
 
 REF_CONFIG = ModelConfig(n=20, epsilon=0.2, truth=0.8, alpha=0.5, seekers=range(10), delta=0.02)
 
@@ -272,14 +273,6 @@ class TestRunTrajectory:
 
 class TestDegenerateReductions:
     def test_classical_reference_step(self):
-        # plain-Python bounded-confidence averaging, no seekers, no noise
-        def classical_step(x, eps):
-            out = []
-            for xi in x:
-                nbrs = [xj for xj in x if abs(xj - xi) <= eps]
-                out.append(sum(nbrs) / len(nbrs))
-            return out
-
         rng = np.random.Generator(np.random.PCG64(21))
         cfg = ModelConfig(12, 0.25, 0.5, 0.5, [], 0.0)
         x = rng.random(12)
@@ -309,9 +302,9 @@ class TestEnsemble:
         summary = summarize(iter_ensemble(spec, [123]))
         rec = run_trajectory(dataclasses.replace(spec, seed=123))
         assert summary.runs == 1
-        assert summary.tail_sup_min == rec.tail_sup
-        assert summary.tail_sup_max == rec.tail_sup
-        assert summary.entry_count == (1 if rec.entry_time is not None else 0)
+        assert summary.tail_sup["min"] == rec.tail_sup
+        assert summary.tail_sup["max"] == rec.tail_sup
+        assert summary.entry_time["count"] == (1 if rec.entry_time is not None else 0)
 
     def test_seed_derivation_is_base_plus_index(self):
         spec = make_spec(horizon=20, tail_window=2)

@@ -6,7 +6,8 @@ number, a complex, a Fraction, NaN and the value just outside each end
 of its interval (for an open end, the end itself), with a ValueError that
 names the field and prints the interval; each accepts an interior value
 as a NumPy float32 and as a 0-d array. The check runs where a config,
-bounds or a noise block is built, never inside a step.
+bounds or a noise block is built, and in ``neighbor_means`` for an epsilon
+that is not a float, never inside a step.
 """
 
 from __future__ import annotations
@@ -149,6 +150,23 @@ def test_sampler_checks_its_floats_before_it_draws(kwargs, message):
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         sample_admissible_config(rng, **kwargs)
     assert rng.bit_generator.state == state
+
+
+# neighbor_means takes epsilon in (0, inf], whose closed inf end _outside cannot give
+@pytest.mark.parametrize("n", [20, 200])
+@pytest.mark.parametrize("eps", [True, np.True_, "0.2", 0.2 + 0j, Fraction(1, 5), math.nan,
+                                 0.0, -0.1, [0.2], np.array([0.2])], ids=repr)
+def test_neighbor_means_refuses_what_is_not_a_real_number_in_range(n, eps):
+    message = f"epsilon must be a real number in (0, inf], got {eps!r}"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        dyn.neighbor_means(_rng().random(n), eps)
+
+
+@pytest.mark.parametrize("n", [20, 200])
+@pytest.mark.parametrize("eps", [math.inf, 1, np.float32(0.2), np.array(0.2)], ids=repr)
+def test_neighbor_means_takes_a_real_epsilon_as_its_float(n, eps):
+    x = _rng().random(n)
+    assert dyn.neighbor_means(x, eps).tobytes() == dyn.neighbor_means(x, float(eps)).tobytes()
 
 
 @pytest.mark.parametrize("n", [20, 200])

@@ -9,10 +9,10 @@ noisy variant adds a bounded term and clamps the result into [0, 1].
 A profile is a float64 vector of ``n`` opinions, or a batch ``(..., n)`` of
 them stepped row by row, each row bit for bit the same alone or in a
 batch. A step is pure, and noise is an explicit input. The public ``step``
-checks its profile with ``validate_state`` and its noise against
-``delta``; its kernel ``_step`` checks only, in ``neighbor_means``, that
-every opinion is finite and in [0, 1], for a run loop that validated once
-up front. README describes how the kernels compute and what they cost.
+checks its profile and noise, and ``neighbor_means`` its epsilon and profile;
+their kernels ``_step`` and ``_neighbor_means`` check nothing, for a run loop
+that validated once up front and keeps every state in [0, 1]. README
+describes how the kernels compute and what they cost.
 """
 
 from __future__ import annotations
@@ -158,20 +158,20 @@ def _check_real(name: str, value: object, interval: str) -> float:
 
 
 def validate_state(x: np.ndarray | Sequence[float], config: ModelConfig) -> np.ndarray:
-    """Return ``x`` as a float64 vector after checking it is a legal profile for ``config``."""
+    """Return ``x`` as a C-contiguous float64 vector, checked as a legal profile for ``config``."""
     arr = np.asarray(x, dtype=np.float64)
     if arr.shape != (config.n,):
         raise ValueError(f"opinion vector must have shape ({config.n},), got {arr.shape}")
-    _check_ends(arr.min(), arr.max())
-    return arr
+    _check_opinions(arr)
+    return np.ascontiguousarray(arr)
 
 
-def _check_ends(least: float, greatest: float) -> None:
-    """Refuse a profile unless its least and greatest opinions are finite and in [0, 1].
+def _check_opinions(x: np.ndarray) -> None:
+    """Refuse a non-empty profile or batch unless every opinion is finite and in [0, 1].
 
-    A NaN anywhere must reach one of the two, as ``min`` and ``max`` carry it
-    and a sort puts it last.
+    ``min`` and ``max`` carry a NaN anywhere to one of the two ends tested.
     """
+    least, greatest = x.min(), x.max()
     if not (0.0 <= least and greatest <= 1.0):
         if np.isfinite(least) and np.isfinite(greatest):
             raise ValueError("every opinion must be in [0, 1]")
@@ -209,7 +209,6 @@ def _windows(s: np.ndarray, epsilon: float) -> tuple[np.ndarray, np.ndarray]:
     its edge, and hi[i] counts the j with lo[j] <= i.
     """
     rows, n = s.shape
-    _check_ends(s[:, 0].min(), s[:, -1].max())
     # no |fl(s_j - s_i)| exceeds 1, so this cap keeps every window, and the keys finite
     epsilon = min(float(epsilon), 1.0)
     # rows start span apart, a gap of 2 epsilon + 2 past the keys' rounding
@@ -388,18 +387,20 @@ def neighbor_means(x: np.ndarray, epsilon: float) -> np.ndarray:
         epsilon = _check_real("epsilon", epsilon, "(0, inf]")
     # a view's matmul leaves the BLAS path, and float32 would be summed in float32
     x = np.ascontiguousarray(x, dtype=np.float64)
-    n = x.shape[-1]
     if not x.size:
         return x.copy()
+    _check_opinions(x)
+    return _neighbor_means(x, epsilon)
+
+
+def _neighbor_means(x: np.ndarray, epsilon: float) -> np.ndarray:
+    """Unchecked ``neighbor_means``: ``x`` non-empty C-contiguous float64 in [0, 1], epsilon > 0."""
+    n = x.shape[-1]
     if n > _DENSE_MAX_N:
         return _window_means(x, epsilon)
     ordered = x.copy()
     ordered.sort()
     low, high = ordered.item(0), ordered.item(n - 1)  # row 0's ends
-    if x.size == n:
-        _check_ends(low, high)
-    else:
-        _check_ends(ordered[..., 0].min(), ordered[..., -1].max())
     # no |fl(x_j - x_i)| exceeds the spread fl(max - min), so a row within epsilon is one
     # neighbourhood. Row 0 first: a batch that is not one group mostly fails there
     if high - low <= epsilon and (x.size == n or (
@@ -415,13 +416,13 @@ def _step(
 ) -> np.ndarray:
     """One synchronous step on raw opinions, without validation.
 
-    ``x`` is one opinion vector or a batch ``(..., n)`` of them, stepped
-    row by row. ``noise`` is None for the noise-free update (no clamp), or
-    the perturbation to add before clamping into [0, 1]: an array of the
-    shape of ``x``, or a function of (neighborhood means, config), so that
-    steered noise reuses the means the targets are built from.
+    ``x``, C-contiguous float64 in [0, 1], is one opinion vector or a batch
+    ``(..., n)`` of them, stepped row by row. ``noise`` is None for the
+    noise-free update (no clamp), or the perturbation to add before clamping
+    into [0, 1]: an array of the shape of ``x``, or a function of (neighborhood
+    means, config), so that steered noise reuses the means the targets are built from.
     """
-    means = neighbor_means(x, config.epsilon)
+    means = _neighbor_means(x, config.epsilon)
     # means + a*(truth - means) cannot leave [min(means, truth), max(...)]
     # even under rounding, unlike the textbook a*truth + (1-a)*means form;
     # built in one buffer, each operation as commutative as the form above

@@ -83,6 +83,10 @@ def _judged(name: str, ok: bool, trials: int, margin: float, note: str = "") -> 
     return SuiteResult(name, "pass" if ok else "fail", trials, margin, note)
 
 
+def _skipped(name: str, note: str) -> SuiteResult:
+    return SuiteResult(name, "skip", 0, None, note)
+
+
 def sample_admissible_config(
     rng: np.random.Generator,
     n_max: int = 30,
@@ -191,9 +195,7 @@ def check_quarter_bands(
     rng = _rng(seed, 0, draws=draws)
     delta = dyn._check_real("delta", delta, "[0, inf)")
     if delta == 0.0:
-        return SuiteResult(
-            "noise-quarter-bands", "skip", 0, None, "delta = 0 has no quarter bands"
-        )
+        return _skipped("noise-quarter-bands", "delta = 0 has no quarter bands")
     tol = QUARTER_TOL * math.sqrt(100_000 / draws)
     xi = draw_noise(rng, draws, delta)
     upper = float(np.mean((xi >= delta / 2.0) & (xi <= delta)))
@@ -240,16 +242,10 @@ def check_absorption(
     try:
         nb = bounds_for_config(config)
     except ValueError as exc:
-        return SuiteResult(name, "skip", 0, None, str(exc))
+        return _skipped(name, str(exc))
     if not nb.admissible:
-        return SuiteResult(
-            name,
-            "skip",
-            0,
-            None,
-            f"delta={config.delta!r} outside the admissible range "
-            f"(0, {nb.delta_lower!r}]; hypothesis unmet",
-        )
+        return _skipped(name, f"delta={config.delta!r} outside the admissible range "
+                              f"(0, {nb.delta_lower!r}]; hypothesis unmet")
     worst = math.inf
     for _ in range(trials):
         worst = min(worst, absorption_margin(config, nb, steps, rng))
@@ -259,13 +255,11 @@ def check_absorption(
 def check_steered_contraction(
     config: ModelConfig, trials: int = 100, seed: int = 0
 ) -> SuiteResult:
-    """Steered steps must gain delta/2 per step and finish within the block length."""
+    """Steered steps must gain delta/2 each and end within the block length; none is a skip."""
     name = "steered-contraction"
     rng = _rng(seed, 5, trials=trials)
     if not 0.0 < config.delta < 1.0:
-        return SuiteResult(
-            name, "skip", 0, None, f"delta={config.delta!r} outside (0, 1); hypothesis unmet"
-        )
+        return _skipped(name, f"delta={config.delta!r} outside (0, 1); hypothesis unmet")
     worst = math.inf
     failures = 0
     for _ in range(trials):
@@ -273,6 +267,9 @@ def check_steered_contraction(
         worst = min(worst, margin + DECREASE_TOL)
         if not entered:
             failures += 1
+    if worst == math.inf:  # a walk's margin is finite once it takes a step
+        return _skipped(name, f"every start was already within delta={config.delta!r}; "
+                              "no walk took a step")
     note = f"{failures} walks missed the block-length budget" if failures else ""
     return _judged(name, worst >= 0.0 and failures == 0, trials, worst, note)
 

@@ -319,6 +319,15 @@ class TestSimulateCommand:
         assert "hktruth: error:" in err and "delta" in err
         assert not (tmp_path / "nan").exists()
 
+    def test_a_horizon_too_large_to_allocate_is_a_usage_error(self, tmp_path, capsys):
+        # 3 * 10**15 float64 deviations are 24 PB, past any address space
+        assert main(["simulate", "--horizon", str(10**15),
+                     "--output", str(tmp_path / "huge")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("hktruth: error: ") and err.count("\n") == 1
+        assert "Unable to allocate" in err
+        assert not (tmp_path / "huge").exists()
+
 
 class TestEnsembleCommand:
     def test_summary_and_per_run_files(self, tmp_path, capsys):

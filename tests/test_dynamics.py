@@ -426,10 +426,11 @@ class TestNeighborMeans:
                              ids=["-0.1", "-5e-324", "1+ulp", "1e308", "nan", "inf", "-inf"])
     def test_an_opinion_outside_the_unit_interval_is_refused(self, n, bad):
         # one opinion outside [0, 1], first, middle or last: alone and as the
-        # middle row of three, the kernel, the validator and the step raise one
-        # message, with no overflow warning (the suite turns warnings into
-        # errors). The nearest end of [0, 1] in its place, -0.0 or 1.0, is kept
-        # with its bits, alone and in the batch
+        # middle row of three, neighbor_means, the validator and the step raise
+        # one message, with no overflow warning (the suite turns warnings into
+        # errors); the kernel _step trusts its input and checks nothing. The
+        # nearest end of [0, 1] in its place, -0.0 or 1.0, is kept with its
+        # bits, alone and in the batch
         message = r"must be in \[0, 1\]" if np.isfinite(bad) else "contains non-finite values"
         end = -0.0 if bad < 0.0 else 1.0
         rng = np.random.Generator(np.random.PCG64(61 + n))
@@ -443,8 +444,6 @@ class TestNeighborMeans:
                 for profile in (batch[1], batch):
                     with pytest.raises(ValueError, match=message):
                         neighbor_means(profile, eps)
-                    with pytest.raises(ValueError, match=message):
-                        _step(profile, cfg)
             for call in (validate_state, step):
                 with pytest.raises(ValueError, match=message):
                     call(batch[1], cfg)

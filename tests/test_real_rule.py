@@ -7,7 +7,8 @@ of its interval (for an open end, the end itself), with a ValueError that
 names the field and prints the interval; each accepts an interior value
 as a NumPy float32 and as a 0-d array. The check runs where a config,
 bounds or a noise block is built, and in ``neighbor_means`` for an epsilon
-that is not a float, never inside a step.
+that is not a float, never inside a step. Opinions are checked at the same
+boundaries, never by the step kernel or the run loop.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ import hktruth.bounds
 import hktruth.dynamics as dyn
 from hktruth.bounds import block_length, compute_bounds, steered_noise
 from hktruth.dynamics import ModelConfig
-from hktruth.harness import draw_noise
+from hktruth.harness import MODES, RunSpec, draw_noise, run_trajectory
 from hktruth.verify import check_quarter_bands, sample_admissible_config
 
 # a value inside every interval below
@@ -187,3 +188,49 @@ def test_a_step_makes_no_real_check(monkeypatch, n):
     for noise in (None, np.full((2, n), 0.01), steered_noise):
         dyn._step(x, cfg, noise)
     assert calls == []
+
+
+def _counting(monkeypatch, calls):
+    """Count every real check and every opinion check, wherever it is looked up."""
+    def counter(check):
+        def counted(*args):
+            calls.append(check.__name__)
+            return check(*args)
+        return counted
+
+    for module in (dyn, hktruth.bounds):
+        monkeypatch.setattr(module, "_check_real", counter(dyn._check_real))
+    monkeypatch.setattr(dyn, "_check_opinions", counter(dyn._check_opinions))
+
+
+# n = 20 takes the dense kernel, a single row or a batch, and with every row within
+# epsilon (a spread of 0.1) the consensus group; n = 200 takes the sorted-window kernel
+@pytest.mark.parametrize("n", [20, 200])
+@pytest.mark.parametrize("rows", [(), (3,)], ids=["row", "batch"])
+@pytest.mark.parametrize("spread", [1.0, 0.1], ids=["spread", "group"])
+def test_a_step_checks_neither_reals_nor_opinions(monkeypatch, n, rows, spread):
+    calls = []
+    _counting(monkeypatch, calls)
+    cfg = ModelConfig(n, 0.2, 0.8, 0.5, range(n // 2), 0.02)
+    x = 0.5 + spread * (_rng().random((*rows, n)) - 0.5)
+    calls.clear()
+    for noise in (None, np.full(x.shape, 0.01), steered_noise):
+        dyn._step(x, cfg, noise)
+    assert calls == []
+
+
+@pytest.mark.parametrize("n", [20, 200])
+def test_a_run_checks_its_opinions_as_often_whatever_its_horizon(monkeypatch, n):
+    # none per step: two per run, as RunSpec checks its explicit initial profile
+    # and the record's copy of the spec, with the run's seed, checks it again
+    calls = []
+    _counting(monkeypatch, calls)
+    cfg = ModelConfig(n, 0.2, 0.8, 0.5, range(n // 2), 0.02)
+    start = tuple(np.linspace(0.0, 1.0, n))
+    counts = []
+    for horizon in (10, 1000):
+        calls.clear()
+        for mode in MODES:
+            run_trajectory(RunSpec(cfg, horizon, mode=mode, initial=start))
+        counts.append(calls.count("_check_opinions"))
+    assert counts == [2 * len(MODES)] * 2

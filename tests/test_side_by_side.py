@@ -7,6 +7,7 @@ import json
 import sys
 import time
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
@@ -27,6 +28,7 @@ def test_a_tree_against_itself_on_one_tiny_case(tool, capsys):
     assert tool.main(argv) == 0
     assert time.perf_counter() - start < 2.0
     out = json.loads(capsys.readouterr().out)
+    assert out["kernels"] == {"base": "_neighbor_means", "head": "_neighbor_means"}
     assert list(out["cases"]) == ["reuse-1x8"]
     case = out["cases"]["reuse-1x8"]
     assert case["shape"] == [1, 8]
@@ -35,6 +37,12 @@ def test_a_tree_against_itself_on_one_tiny_case(tool, capsys):
     # one module per side, each with its own memo
     base, head = (sys.modules[f"side_by_side_{side}_dynamics"] for side in ("base", "head"))
     assert base is not head and base._memo is not head._memo
+
+
+def test_a_tree_without_the_step_kernel_is_timed_on_neighbor_means(tool):
+    public, kernel = object(), object()
+    assert tool._kernel(SimpleNamespace(neighbor_means=public)) is public
+    assert tool._kernel(SimpleNamespace(neighbor_means=public, _neighbor_means=kernel)) is kernel
 
 
 def test_an_unknown_case_is_refused(tool):

@@ -67,6 +67,20 @@ def test_steered_skipped_at_zero_delta():
     assert check_steered_contraction(cfg, trials=5).status == "skip"
 
 
+def test_steered_skipped_when_every_start_is_within_delta():
+    # at delta = 0.9 every uniform start lies within delta of the truth, so no walk steps
+    cfg = ModelConfig(20, 0.2, 0.8, 0.5, range(10), 0.9)
+    res = check_steered_contraction(cfg, trials=10)
+    assert (res.status, res.trials, res.margin) == ("skip", 0, None)
+    assert res.note == "every start was already within delta=0.9; no walk took a step"
+
+
+def test_steered_contraction_on_the_reference_config_is_unchanged():
+    res = check_steered_contraction(REF_CONFIG, trials=50)
+    assert (res.status, res.trials, res.margin, res.note) == (
+        "pass", 50, 9.998976513149173e-13, "")
+
+
 def test_range_preservation_fails_when_clamp_disabled(monkeypatch):
     # negative control: remove the clamp and the suite must notice
     monkeypatch.setattr(hktruth.dynamics, "clamp_vector", lambda values: values)
@@ -88,7 +102,7 @@ def test_steered_contraction_fails_without_the_steering(monkeypatch):
 
 def test_absorption_fails_without_neighbour_averaging(monkeypatch):
     # negative control: zero neighbourhood means send every non-seeker to 0, out of the band
-    monkeypatch.setattr(hktruth.dynamics, "neighbor_means", lambda x, epsilon: np.zeros_like(x))
+    monkeypatch.setattr(hktruth.dynamics, "_neighbor_means", lambda x, epsilon: np.zeros_like(x))
     res = check_absorption(REF_CONFIG, trials=3, steps=20)
     assert res.status == "fail"
     assert res.margin == pytest.approx(-0.70, abs=0.01)

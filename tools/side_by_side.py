@@ -1,4 +1,4 @@
-"""Time ``dynamics.neighbor_means`` of two source trees side by side, in one process.
+"""Time the neighbour kernel a step calls in two source trees side by side, in one process.
 
     python tools/side_by_side.py BASE [HEAD] [--blocks N] [--cases a,b]
 
@@ -7,9 +7,12 @@ git revisions of this repository, which are laid out with local
 ``git archive`` into a temporary directory. HEAD defaults to the
 current directory. Run it from the repository root. Both ``dynamics``
 modules are imported under distinct names, so each keeps its own mask
-memo. Every case is timed in alternating blocks of ``CALLS`` calls, the
-side that goes first swapping from block to block, and the script
-prints the best and the median µs per call of each side as JSON. Pin
+memo. Each side times ``dynamics._neighbor_means``, the unchecked kernel
+a step calls, or ``dynamics.neighbor_means`` in a tree without it, which
+is what an older tree's step called; the output names the function timed
+on each side. Every case is timed in alternating blocks of ``CALLS``
+calls, the side that goes first swapping from block to block, and the
+script prints the best and the median µs per call of each side as JSON. Pin
 BLAS to one thread (``OPENBLAS_NUM_THREADS=1``) for figures comparable
 with the repository's BENCH files.
 """
@@ -78,6 +81,11 @@ def _load(path: Path, name: str):
     return module
 
 
+def _kernel(module):
+    """The neighbour kernel of ``module``'s step: ``_neighbor_means``, else ``neighbor_means``."""
+    return getattr(module, "_neighbor_means", module.neighbor_means)
+
+
 def _block(means, profiles: list[np.ndarray], epsilon: float) -> float:
     """µs per call over ``CALLS`` calls cycling through ``profiles``, after one of each."""
     sequence = [profiles[i % len(profiles)] for i in range(CALLS)]
@@ -93,21 +101,23 @@ def compare(base: str, head: str, blocks: int, names: list[str] | None) -> dict:
     cases = _cases()
     sides = {"base": base, "head": head}
     with tempfile.TemporaryDirectory() as scratch:
-        kernels = {side: _load(_tree(where, Path(scratch)), f"side_by_side_{side}_dynamics")
+        modules = {side: _load(_tree(where, Path(scratch)), f"side_by_side_{side}_dynamics")
                    for side, where in sides.items()}
+    kernels = {side: _kernel(module) for side, module in modules.items()}
     result = {}
     for name in names or list(cases):
         what, profiles, epsilon = cases[name]
         times: dict[str, list[float]] = {side: [] for side in sides}
         for b in range(blocks):
             for side in (("base", "head") if b % 2 == 0 else ("head", "base")):
-                times[side].append(_block(kernels[side].neighbor_means, profiles, epsilon))
+                times[side].append(_block(kernels[side], profiles, epsilon))
         result[name] = {"selects": what, "shape": list(profiles[0].shape), "epsilon": epsilon}
         for side, ts in times.items():
             result[name][side] = {"best_us": round(min(ts), 2),
                                   "median_us": round(statistics.median(ts), 2)}
     return {
         "base": base, "head": head, "blocks": blocks, "calls_per_block": CALLS,
+        "kernels": {side: kernel.__name__ for side, kernel in kernels.items()},
         "environment": {
             "python": platform.python_version(), "numpy": np.__version__,
             "machine": platform.machine(), "processor": platform.processor(),

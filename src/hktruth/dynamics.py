@@ -390,25 +390,37 @@ def neighbor_means(x: np.ndarray, epsilon: float) -> np.ndarray:
     if not x.size:
         return x.copy()
     _check_opinions(x)
-    return _neighbor_means(x, epsilon)
+    return _neighbor_means(x, epsilon)[0]
 
 
-def _neighbor_means(x: np.ndarray, epsilon: float) -> np.ndarray:
-    """Unchecked ``neighbor_means``: ``x`` non-empty C-contiguous float64 in [0, 1], epsilon > 0."""
+def _neighbor_means(x: np.ndarray, epsilon: float) -> tuple[np.ndarray, tuple | None]:
+    """Unchecked ``neighbor_means``: ``x`` non-empty C-contiguous float64 in [0, 1], epsilon > 0.
+
+    Also returns a 1-D dense row's ends (least, greatest), which bound every
+    mean, else None. Such a row within epsilon skips the hull clip when its
+    spread exceeds n^2 * 2^-52 * greatest + 2^-1022: any-order summation errs
+    by at most gamma_(n-1) * n * greatest, under half the spread, so fl(sum)/n
+    lies strictly inside the ends, and monotone rounding keeps the mean within
+    them; the 2^-1022 keeps a mean off zero, whose sign the clip takes from an end.
+    """
     n = x.shape[-1]
     if n > _DENSE_MAX_N:
-        return _window_means(x, epsilon)
+        return _window_means(x, epsilon), None
     ordered = x.copy()
     ordered.sort()
     low, high = ordered.item(0), ordered.item(n - 1)  # row 0's ends
+    ends = (low, high) if x.ndim == 1 else None
     # no |fl(x_j - x_i)| exceeds the spread fl(max - min), so a row within epsilon is one
     # neighbourhood. Row 0 first: a batch that is not one group mostly fails there
     if high - low <= epsilon and (x.size == n or (
             np.maximum.reduce(ordered[..., -1] - ordered[..., 0], None) <= epsilon)):
-        means = (_ones(n, n) @ x[..., None])[..., 0] / n
+        means = _ones(n, n).dot(x) if ends else (_ones(n, n) @ x[..., None])[..., 0]
+        means /= n
+        if ends and high - low > n * n * 2.0**-52 * high + 2.0**-1022:
+            return means, ends
         # per-agent bounds: broadcast (..., 1) bounds can flip the sign of a zero mean
-        return means.clip(ordered[..., :1].repeat(n, -1), ordered[..., -1:].repeat(n, -1))
-    return _mask_means(x, ordered, epsilon)
+        return means.clip(ordered[..., :1].repeat(n, -1), ordered[..., -1:].repeat(n, -1)), ends
+    return _mask_means(x, ordered, epsilon), ends
 
 
 def _step(
@@ -421,8 +433,14 @@ def _step(
     noise-free update (no clamp), or the perturbation to add before clamping
     into [0, 1]: an array of the shape of ``x``, or a function of (neighborhood
     means, config), so that steered noise reuses the means the targets are built from.
+    Every noise value must satisfy |noise| <= config.delta, unchecked here:
+    ``step`` and ``verify.absorption_margin`` check caller noise, iid draws are
+    delta*(2u - 1) and steered noise +-delta/2. So a 1-D dense row, whose targets
+    lie in [min(low, truth), max(high, truth)] for its ends low and high, skips
+    the clamp when that interval widened by delta, as computed, is within [0, 1]:
+    rounding is monotone.
     """
-    means = _neighbor_means(x, config.epsilon)
+    means, ends = _neighbor_means(x, config.epsilon)
     # means + a*(truth - means) cannot leave [min(means, truth), max(...)]
     # even under rounding, unlike the textbook a*truth + (1-a)*means form;
     # built in one buffer, each operation as commutative as the form above
@@ -435,6 +453,9 @@ def _step(
     if noise is None:
         return targets
     targets += noise(means, config) if callable(noise) else noise
+    truth, delta = config.truth, config.delta
+    if ends and min(ends[0], truth) >= delta and max(ends[1], truth) + delta <= 1.0:
+        return targets
     # not in place: an in-place clip of one element turns -0.0 into +0.0
     return clamp_vector(targets)
 

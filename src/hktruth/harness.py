@@ -25,7 +25,8 @@ observed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+import copy
+from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
@@ -195,9 +196,12 @@ def _run_batch(spec: RunSpec, seeds: Sequence[int]) -> list[TrajectoryRecord]:
         inside = band_slack(dev[1], dev[2], nb) >= 0.0
         entries = [int(row.argmax()) if row.any() else None for row in inside]
     tail_sups = dev[0, :, horizon + 1 - spec.tail_window :].max(axis=1)
+    specs = [copy.copy(spec) for _ in seeds]  # not ``replace``, which reruns __post_init__
+    for one, seed in zip(specs, seeds):
+        vars(one)["seed"] = seed  # past the frozen __setattr__: spec and seeds are checked
     return [
         TrajectoryRecord(
-            spec=replace(spec, seed=seed),
+            spec=specs[i],
             d_v=dev[0, i],
             d_s=dev[1, i],
             d_sbar=dev[2, i],
@@ -206,7 +210,7 @@ def _run_batch(spec: RunSpec, seeds: Sequence[int]) -> list[TrajectoryRecord]:
             bounds=nb,
             states=None if states is None else states[i],
         )
-        for i, seed in enumerate(seeds)
+        for i in range(runs)
     ]
 
 

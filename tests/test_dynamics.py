@@ -689,6 +689,92 @@ class TestSameBitsAsTheNumpyForm:
                     assert matrices == ([(n, n)] if shortcut else []), (n, eps, profile)
 
 
+def certificate_edges(rng, n):
+    """1-D rows of n at the edges of the one-row hull and clamp certificates.
+
+    The hull certificate skips the clip of a row within epsilon whose spread
+    exceeds n^2 * 2^-52 * high + 2^-1022; the clamp certificate skips the clamp when
+    the row's ends and the truth, widened by delta, stay in [0, 1]. The rows:
+    the least opinion on the hull threshold and one ulp either side of it; a
+    spread of 0; n - 1 equal opinions and one (n + k) * 2^-52 * high above,
+    1 <= k < n, whose unclipped mean at n = 128 often leaves the hull; ends
+    exactly 0.25 from 0 or 1, the delta of ``certificate_configs``, or an
+    ulp either side of that; -0.0 alone, beside 0.0 and beside subnormal or
+    least normal opinions, whose means round to zero or stay off it; and two
+    rows on the mask path.
+    """
+    high = 0.6
+    low = high - n * n * 2.0**-52 * high
+    rows = [np.full(n, 0.6), np.full(n, 1 / 3), np.full(n, -0.0), np.resize([-0.0, 0.0], n)]
+    rows += [np.resize([-0.0, tiny], n) for tiny in (5e-324, 2.0**-1022, 2.0**-1021, 2.0**-1000)]
+    for least in (np.nextafter(low, 0.0), low, np.nextafter(low, 1.0)):
+        rows.append(rng.permutation(np.resize([least, high, 0.5 * (least + high)], n)))
+    for _ in range(10):
+        v = rng.uniform(0.5, 1.0)
+        x = np.full(n, v)
+        x[rng.integers(n)] = v + (n + int(rng.integers(1, max(n, 2)))) * 2.0**-52 * v
+        rows.append(x)
+    for least in (0.25, np.nextafter(0.25, 0.0), np.nextafter(0.25, 1.0)):
+        rows.append(np.resize([least, 0.3, 0.35], n))
+    for most in (0.75, np.nextafter(0.75, 1.0), np.nextafter(0.75, 0.0)):
+        rows.append(np.resize([most, 0.7, 0.65], n))
+    rows += [rng.random(n), 0.3 + 0.4 * rng.random(n)]
+    return rows
+
+
+def certificate_configs(n):
+    """Configs with delta 0 and 0.25, truth 0, 1 and inside, and seekers of alpha 1."""
+    for truth, alpha, delta in itertools.product((0.0, 1.0, 0.5), (0.5, 1.0), (0.0, 0.25)):
+        for seekers in ((), range(0, n, 2)):
+            yield ModelConfig(n, 0.2, truth, alpha, seekers, delta)
+
+
+class TestOneRowCertificates:
+    # a 1-D dense row skips the hull clip and the clamp where they provably change no bit
+    @pytest.mark.parametrize("n", [1, 2, 25, _DENSE_MAX_N])
+    @pytest.mark.parametrize("noise_kind", ["noise-free", "iid", "steered"])
+    def test_one_row_steps_keep_the_bits_of_the_numpy_form(self, n, noise_kind):
+        rng = np.random.Generator(np.random.PCG64(53 + n))
+        for x in certificate_edges(rng, n):
+            assert_same_bits(neighbor_means(x, 0.2), numpy_form_neighbor_means(x, 0.2))
+            for cfg in certificate_configs(n):
+                if noise_kind == "steered" and cfg.delta == 0.0:
+                    continue  # steered noise needs delta > 0
+                noises = [noise_of_kind(rng, noise_kind, (n,), cfg.delta)]
+                if noise_kind == "iid":  # the extremes, and -0.0 on every agent
+                    noises += [np.full(n, cfg.delta), np.full(n, -cfg.delta), np.full(n, -0.0)]
+                for noise in noises:
+                    expected = numpy_form_step(x, cfg, noise)
+                    assert_same_bits(_step(x, cfg, noise), expected)
+                    if not callable(noise):
+                        assert_same_bits(step(x, cfg, noise), expected)
+
+    def test_the_kernel_returns_the_ends_of_a_1d_dense_row_only(self):
+        rng = np.random.Generator(np.random.PCG64(59))
+        for x in (0.5 + 0.1 * rng.random(20), rng.random(20)):
+            assert dyn._neighbor_means(x, 0.2)[1] == (x.min(), x.max())
+            assert dyn._neighbor_means(x[None], 0.2)[1] is None
+        assert dyn._neighbor_means(rng.random(200), 0.2)[1] is None
+
+    def test_the_clamp_runs_only_where_a_target_can_leave_the_unit_interval(self, monkeypatch):
+        calls = []
+        clamp = dyn.clamp_vector
+        monkeypatch.setattr(dyn, "clamp_vector", lambda values: calls.append(1) or clamp(values))
+        rng = np.random.Generator(np.random.PCG64(61))
+        cfg = ModelConfig(20, 0.2, 0.8, 0.5, range(10), 0.01)
+        inside = 0.8 + 0.03 * rng.uniform(-1.0, 1.0, 20)
+        noise = rng.uniform(-0.01, 0.01, 20)
+        for x in (inside, 0.7 + 0.25 * rng.random(20)):  # one group, then the mask path
+            step(x, cfg, noise)
+            _step(x, cfg, steered_noise)
+        assert calls == []
+        edge = inside.copy()
+        edge[3] = 0.995  # within delta of 1
+        step(edge, cfg, noise)
+        _step(inside[None], cfg, noise[None])  # a batch keeps its clamp
+        assert calls == [1, 1]
+
+
 def count_builds(monkeypatch):
     """A list that gets the number of rows of each dense mask build."""
     built = []

@@ -221,8 +221,8 @@ def test_a_step_checks_neither_reals_nor_opinions(monkeypatch, n, rows, spread):
 
 @pytest.mark.parametrize("n", [20, 200])
 def test_a_run_checks_its_opinions_as_often_whatever_its_horizon(monkeypatch, n):
-    # none per step: two per run, as RunSpec checks its explicit initial profile
-    # and the record's copy of the spec, with the run's seed, checks it again
+    # none per step and one per run: RunSpec checks its explicit initial profile, and the
+    # record's copy of the spec, with the run's seed, is made without checking it again
     calls = []
     _counting(monkeypatch, calls)
     cfg = ModelConfig(n, 0.2, 0.8, 0.5, range(n // 2), 0.02)
@@ -233,4 +233,4 @@ def test_a_run_checks_its_opinions_as_often_whatever_its_horizon(monkeypatch, n)
         for mode in MODES:
             run_trajectory(RunSpec(cfg, horizon, mode=mode, initial=start))
         counts.append(calls.count("_check_opinions"))
-    assert counts == [2 * len(MODES)] * 2
+    assert counts == [len(MODES)] * 2

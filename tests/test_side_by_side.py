@@ -9,7 +9,11 @@ import time
 from pathlib import Path
 from types import SimpleNamespace
 
+import numpy as np
 import pytest
+
+from hktruth.bounds import in_absorbing_band, steered_noise
+from hktruth.dynamics import ModelConfig
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -32,11 +36,40 @@ def test_a_tree_against_itself_on_one_tiny_case(tool, capsys):
     assert list(out["cases"]) == ["reuse-1x8"]
     case = out["cases"]["reuse-1x8"]
     assert case["shape"] == [1, 8]
+    assert case["calls"] == "_neighbor_means"
     for side in ("base", "head"):
         assert 0.0 < case[side]["best_us"] <= case[side]["median_us"]
     # one module per side, each with its own memo
     base, head = (sys.modules[f"side_by_side_{side}_dynamics"] for side in ("base", "head"))
     assert base is not head and base._memo is not head._memo
+
+
+def test_the_step_cases_time_the_step(tool, capsys):
+    cases = ["step-consensus-20", "step-steered-20", "step-50x20"]
+    assert tool.main([str(ROOT), str(ROOT), "--blocks", "2", "--cases", ",".join(cases)]) == 0
+    out = json.loads(capsys.readouterr().out)["cases"]
+    assert list(out) == cases
+    assert [out[name]["shape"] for name in cases] == [[20], [20], [50, 20]]
+    for case in out.values():
+        assert case["calls"] == "_step"
+        for side in ("base", "head"):
+            assert 0.0 < case[side]["best_us"] <= case[side]["median_us"]
+
+
+def test_the_step_cases_select_what_they_say(tool):
+    cases = tool._cases()
+    _, [x], eps, (fields, noise) = cases["step-consensus-20"]
+    cfg = ModelConfig(epsilon=eps, **fields)
+    # one group inside the band, whose ends stay in [0, 1] under any noise of the config
+    assert np.ptp(x) <= eps and in_absorbing_band(x, cfg)
+    assert x.min() - cfg.delta >= 0.0 and x.max() + cfg.delta <= 1.0
+    assert noise.shape == x.shape and np.all(np.abs(noise) <= cfg.delta)
+    _, [x], eps, (fields, steer) = cases["step-steered-20"]
+    assert x.ndim == 1 and np.ptp(x) > eps
+    means = np.linspace(0.7, 0.9, 21)
+    np.testing.assert_array_equal(steer(means, cfg), steered_noise(means, cfg))
+    _, [x], eps, (fields, noise) = cases["step-50x20"]
+    assert x.shape == noise.shape == (50, 20) and np.all(np.abs(noise) <= cfg.delta)
 
 
 def test_a_tree_without_the_step_kernel_is_timed_on_neighbor_means(tool):

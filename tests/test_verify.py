@@ -101,8 +101,10 @@ def test_steered_contraction_fails_without_the_steering(monkeypatch):
 
 
 def test_absorption_fails_without_neighbour_averaging(monkeypatch):
-    # negative control: zero neighbourhood means send every non-seeker to 0, out of the band
-    monkeypatch.setattr(hktruth.dynamics, "_neighbor_means", lambda x, epsilon: np.zeros_like(x))
+    # negative control: zero neighbourhood means send every non-seeker to 0, out of the band.
+    # The kernel returns the means and a 1-D row's ends, which bound them; None gives no ends
+    monkeypatch.setattr(hktruth.dynamics, "_neighbor_means",
+                        lambda x, epsilon: (np.zeros_like(x), None))
     res = check_absorption(REF_CONFIG, trials=3, steps=20)
     assert res.status == "fail"
     assert res.margin == pytest.approx(-0.70, abs=0.01)

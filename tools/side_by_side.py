@@ -1,4 +1,4 @@
-"""Time the neighbour kernel a step calls in two source trees side by side, in one process.
+"""Time the neighbour kernel and the step in two source trees side by side, in one process.
 
     python tools/side_by_side.py BASE [HEAD] [--blocks N] [--cases a,b]
 
@@ -7,12 +7,14 @@ git revisions of this repository, which are laid out with local
 ``git archive`` into a temporary directory. HEAD defaults to the
 current directory. Run it from the repository root. Both ``dynamics``
 modules are imported under distinct names, so each keeps its own mask
-memo. Each side times ``dynamics._neighbor_means``, the unchecked kernel
-a step calls, or ``dynamics.neighbor_means`` in a tree without it, which
-is what an older tree's step called; the output names the function timed
-on each side. Every case is timed in alternating blocks of ``CALLS``
-calls, the side that goes first swapping from block to block, and the
-script prints the best and the median µs per call of each side as JSON. Pin
+memo. A kernel case times ``dynamics._neighbor_means``, the unchecked
+kernel a step calls, or ``dynamics.neighbor_means`` in a tree without it,
+which is what an older tree's step called; the output names the kernel
+timed on each side. A step case times ``dynamics._step`` on a config built
+by each side's own ``ModelConfig``, and names it in its ``calls``. Every
+case is timed in alternating blocks of ``CALLS`` calls, the side that goes
+first swapping from block to block, and the script prints the best and the
+median µs per call of each side as JSON. Pin
 BLAS to one thread (``OPENBLAS_NUM_THREADS=1``) for figures comparable
 with the repository's BENCH files.
 """
@@ -40,22 +42,45 @@ THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 CALLS = 50  # per block
 
 
-def _cases() -> dict[str, tuple[str, list[np.ndarray], float]]:
-    """Each case: what it selects, the profiles its calls cycle through, and epsilon."""
+def _steered(means: np.ndarray, config) -> np.ndarray:
+    """``bounds.steered_noise``, +-delta/2 toward the truth: the tool loads ``dynamics`` alone."""
+    half = config.delta / 2.0
+    return np.where(means <= config.truth, half, -half)
+
+
+def _cases() -> dict[str, tuple[str, list[np.ndarray], float, tuple | None]]:
+    """Each case: what it selects, the profiles its calls cycle through, epsilon, and the step.
+
+    The step is None for a kernel case, else the other ``ModelConfig`` fields
+    and the noise of a ``_step`` case.
+    """
     rng = np.random.Generator(np.random.PCG64(0))
     cases = {}
     for n in (8, 20, 50):
         x, y = rng.random((2, 1, n))
-        cases[f"reuse-1x{n}"] = ("one row, mask kept from the last call", [x], 0.2)
-        cases[f"rebuild-1x{n}"] = ("one row, mask rebuilt every call", [x, y], 0.2)
-    cases["consensus-1x20"] = ("one row within epsilon", [0.5 + 0.1 * rng.random((1, 20))], 0.2)
+        cases[f"reuse-1x{n}"] = ("one row, mask kept from the last call", [x], 0.2, None)
+        cases[f"rebuild-1x{n}"] = ("one row, mask rebuilt every call", [x, y], 0.2, None)
+    cases["consensus-1x20"] = (
+        "one row within epsilon", [0.5 + 0.1 * rng.random((1, 20))], 0.2, None)
     x = rng.random((50, 20))
     y = x.copy()
     y[::13] = rng.random((4, 20))
-    cases["partial-50x20"] = ("50 rows, 4 of them rebuilt every call", [x, y], 0.2)
+    cases["partial-50x20"] = ("50 rows, 4 of them rebuilt every call", [x, y], 0.2, None)
     for n in (300, 2000):
-        cases[f"window-1x{n}"] = ("one row, sorted-window kernel", [rng.random((1, n))], 0.2)
-    cases["window-4x300"] = ("4 rows, sorted-window kernel", [rng.random((4, 300))], 0.2)
+        cases[f"window-1x{n}"] = ("one row, sorted-window kernel", [rng.random((1, n))], 0.2, None)
+    cases["window-4x300"] = ("4 rows, sorted-window kernel", [rng.random((4, 300))], 0.2, None)
+    # the reference config at delta = 0.01, whose absorbing band holds the seekers within
+    # 0.03 of the truth and the other agents within 0.05
+    ref = {"n": 20, "truth": 0.8, "alpha": 0.5, "seekers": range(10), "delta": 0.01}
+    cases["step-consensus-20"] = (
+        "_step, one 1-D row inside the band, iid noise", [0.8 + 0.03 * rng.uniform(-1, 1, 20)],
+        0.2, (ref, rng.uniform(-0.01, 0.01, 20)))
+    cases["step-steered-20"] = (
+        "_step, one 1-D row on the mask path, steered noise", [0.2 + 0.6 * rng.random(20)],
+        0.2, (ref, _steered))
+    cases["step-50x20"] = (
+        "_step, 50 rows whose masks are kept, iid noise", [rng.random((50, 20))],
+        0.2, (ref, rng.uniform(-0.01, 0.01, (50, 20))))
     return cases
 
 
@@ -86,14 +111,22 @@ def _kernel(module):
     return getattr(module, "_neighbor_means", module.neighbor_means)
 
 
-def _block(means, profiles: list[np.ndarray], epsilon: float) -> float:
+def _call(module, epsilon: float, step: tuple | None):
+    """The function a case calls on ``module``, and the arguments after the profile."""
+    if step is None:
+        return _kernel(module), (epsilon,)
+    fields, noise = step
+    return module._step, (module.ModelConfig(epsilon=epsilon, **fields), noise)
+
+
+def _block(fn, profiles: list[np.ndarray], args: tuple) -> float:
     """µs per call over ``CALLS`` calls cycling through ``profiles``, after one of each."""
     sequence = [profiles[i % len(profiles)] for i in range(CALLS)]
     for x in profiles:
-        means(x, epsilon)
+        fn(x, *args)
     start = time.perf_counter()
     for x in sequence:
-        means(x, epsilon)
+        fn(x, *args)
     return (time.perf_counter() - start) / CALLS * 1e6
 
 
@@ -106,12 +139,15 @@ def compare(base: str, head: str, blocks: int, names: list[str] | None) -> dict:
     kernels = {side: _kernel(module) for side, module in modules.items()}
     result = {}
     for name in names or list(cases):
-        what, profiles, epsilon = cases[name]
+        what, profiles, epsilon, step = cases[name]
+        calls = {side: _call(module, epsilon, step) for side, module in modules.items()}
         times: dict[str, list[float]] = {side: [] for side in sides}
         for b in range(blocks):
             for side in (("base", "head") if b % 2 == 0 else ("head", "base")):
-                times[side].append(_block(kernels[side], profiles, epsilon))
-        result[name] = {"selects": what, "shape": list(profiles[0].shape), "epsilon": epsilon}
+                fn, args = calls[side]
+                times[side].append(_block(fn, profiles, args))
+        result[name] = {"selects": what, "shape": list(profiles[0].shape), "epsilon": epsilon,
+                        "calls": calls["head"][0].__name__}
         for side, ts in times.items():
             result[name][side] = {"best_us": round(min(ts), 2),
                                   "median_us": round(statistics.median(ts), 2)}

@@ -396,12 +396,10 @@ def neighbor_means(x: np.ndarray, epsilon: float) -> np.ndarray:
 def _neighbor_means(x: np.ndarray, epsilon: float) -> tuple[np.ndarray, tuple | None]:
     """Unchecked ``neighbor_means``: ``x`` non-empty C-contiguous float64 in [0, 1], epsilon > 0.
 
-    Also returns a 1-D dense row's ends (least, greatest), which bound every
-    mean, else None. Such a row within epsilon skips the hull clip when its
-    spread exceeds n^2 * 2^-52 * greatest + 2^-1022: any-order summation errs
-    by at most gamma_(n-1) * n * greatest, under half the spread, so fl(sum)/n
-    lies strictly inside the ends, and monotone rounding keeps the mean within
-    them; the 2^-1022 keeps a mean off zero, whose sign the clip takes from an end.
+    Also returns a 1-D dense row's ends (least, greatest), else None. Summed in any order,
+    such a row errs by at most gamma_(n-1) * n * greatest, under half a spread above
+    n^2 * 2^-52 * greatest + 2^-1022; so fl(sum)/n is strictly inside the ends and off zero,
+    monotone rounding keeps its mean there, and the row within epsilon skips the hull clip.
     """
     n = x.shape[-1]
     if n > _DENSE_MAX_N:
@@ -433,12 +431,10 @@ def _step(
     noise-free update (no clamp), or the perturbation to add before clamping
     into [0, 1]: an array of the shape of ``x``, or a function of (neighborhood
     means, config), so that steered noise reuses the means the targets are built from.
-    Every noise value must satisfy |noise| <= config.delta, unchecked here:
-    ``step`` and ``verify.absorption_margin`` check caller noise, iid draws are
-    delta*(2u - 1) and steered noise +-delta/2. So a 1-D dense row, whose targets
-    lie in [min(low, truth), max(high, truth)] for its ends low and high, skips
-    the clamp when that interval widened by delta, as computed, is within [0, 1]:
-    rounding is monotone.
+    Every |noise| must be <= config.delta, unchecked: ``step`` and ``verify.absorption_margin``
+    check caller noise, iid draws are delta*(2u - 1) and steered noise +-delta/2. A 1-D dense
+    row's targets lie in [min(low, truth), max(high, truth)] for its ends, so it skips the
+    clamp when that interval, widened by delta as computed, is in [0, 1]: rounding is monotone.
     """
     means, ends = _neighbor_means(x, config.epsilon)
     # means + a*(truth - means) cannot leave [min(means, truth), max(...)]

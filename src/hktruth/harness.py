@@ -196,12 +196,9 @@ def _run_batch(spec: RunSpec, seeds: Sequence[int]) -> list[TrajectoryRecord]:
         inside = band_slack(dev[1], dev[2], nb) >= 0.0
         entries = [int(row.argmax()) if row.any() else None for row in inside]
     tail_sups = dev[0, :, horizon + 1 - spec.tail_window :].max(axis=1)
-    specs = [copy.copy(spec) for _ in seeds]  # not ``replace``, which reruns __post_init__
-    for one, seed in zip(specs, seeds):
-        vars(one)["seed"] = seed  # past the frozen __setattr__: spec and seeds are checked
     return [
         TrajectoryRecord(
-            spec=specs[i],
+            spec=_with_seed(spec, seed),
             d_v=dev[0, i],
             d_s=dev[1, i],
             d_sbar=dev[2, i],
@@ -210,8 +207,15 @@ def _run_batch(spec: RunSpec, seeds: Sequence[int]) -> list[TrajectoryRecord]:
             bounds=nb,
             states=None if states is None else states[i],
         )
-        for i in range(runs)
+        for i, seed in enumerate(seeds)
     ]
+
+
+def _with_seed(spec: RunSpec, seed: int) -> RunSpec:
+    """``spec`` with ``seed``; both are checked, so not ``replace``: it reruns ``__post_init__``."""
+    one = copy.copy(spec)
+    object.__setattr__(one, "seed", seed)
+    return one
 
 
 def run_trajectory(spec: RunSpec) -> TrajectoryRecord:

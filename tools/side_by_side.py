@@ -11,7 +11,8 @@ memo. A kernel case times ``dynamics._neighbor_means``, the unchecked
 kernel a step calls, or ``dynamics.neighbor_means`` in a tree without it,
 which is what an older tree's step called; the output names the kernel
 timed on each side. A step case times ``dynamics._step`` on a config built
-by each side's own ``ModelConfig``, and names it in its ``calls``. Every
+by each side's own ``ModelConfig``, and names it in its ``calls``; its
+steered noise is this repository's ``bounds.steered_noise``. Every
 case is timed in alternating blocks of ``CALLS`` calls, the side that goes
 first swapping from block to block, and the script prints the best and the
 median µs per call of each side as JSON. Pin
@@ -38,14 +39,11 @@ from pathlib import Path
 import numpy as np
 
 REPO = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(REPO / "src"))
+from hktruth.bounds import steered_noise  # noqa: E402  a step case's noise, not what is compared
+
 THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 CALLS = 50  # per block
-
-
-def _steered(means: np.ndarray, config) -> np.ndarray:
-    """``bounds.steered_noise``, +-delta/2 toward the truth: the tool loads ``dynamics`` alone."""
-    half = config.delta / 2.0
-    return np.where(means <= config.truth, half, -half)
 
 
 def _cases() -> dict[str, tuple[str, list[np.ndarray], float, tuple | None]]:
@@ -77,10 +75,11 @@ def _cases() -> dict[str, tuple[str, list[np.ndarray], float, tuple | None]]:
         0.2, (ref, rng.uniform(-0.01, 0.01, 20)))
     cases["step-steered-20"] = (
         "_step, one 1-D row on the mask path, steered noise", [0.2 + 0.6 * rng.random(20)],
-        0.2, (ref, _steered))
+        0.2, (ref, steered_noise))
     cases["step-50x20"] = (
         "_step, 50 rows whose masks are kept, iid noise", [rng.random((50, 20))],
         0.2, (ref, rng.uniform(-0.01, 0.01, (50, 20))))
+    cases["consensus-20"] = ("one 1-D row within epsilon", [0.5 + 0.1 * rng.random(20)], 0.2, None)
     return cases
 
 

@@ -396,7 +396,7 @@ def neighbor_means(x: np.ndarray, epsilon: float) -> np.ndarray:
 def _neighbor_means(x: np.ndarray, epsilon: float) -> tuple[np.ndarray, tuple | None]:
     """Unchecked ``neighbor_means``: ``x`` non-empty C-contiguous float64 in [0, 1], epsilon > 0.
 
-    Also returns a 1-D dense row's ends (least, greatest), else None. Summed in any order,
+    Also returns a single dense row's ends (least, greatest), else None. Summed in any order,
     such a row errs by at most gamma_(n-1) * n * greatest, under half a spread above
     n^2 * 2^-52 * greatest + 2^-1022; so fl(sum)/n is strictly inside the ends and off zero,
     monotone rounding keeps its mean there, and the row within epsilon skips the hull clip.
@@ -407,12 +407,12 @@ def _neighbor_means(x: np.ndarray, epsilon: float) -> tuple[np.ndarray, tuple | 
     ordered = x.copy()
     ordered.sort()
     low, high = ordered.item(0), ordered.item(n - 1)  # row 0's ends
-    ends = (low, high) if x.ndim == 1 else None
+    ends = (low, high) if x.size == n else None
     # no |fl(x_j - x_i)| exceeds the spread fl(max - min), so a row within epsilon is one
     # neighbourhood. Row 0 first: a batch that is not one group mostly fails there
-    if high - low <= epsilon and (x.size == n or (
+    if high - low <= epsilon and (ends or (
             np.maximum.reduce(ordered[..., -1] - ordered[..., 0], None) <= epsilon)):
-        means = _ones(n, n).dot(x) if ends else (_ones(n, n) @ x[..., None])[..., 0]
+        means = _ones(n, n).dot(x) if x.ndim == 1 else (_ones(n, n) @ x[..., None])[..., 0]
         means /= n
         if ends and high - low > n * n * 2.0**-52 * high + 2.0**-1022:
             return means, ends
@@ -432,7 +432,7 @@ def _step(
     into [0, 1]: an array of the shape of ``x``, or a function of (neighborhood
     means, config), so that steered noise reuses the means the targets are built from.
     Every |noise| must be <= config.delta, unchecked: ``step`` and ``verify.absorption_margin``
-    check caller noise, iid draws are delta*(2u - 1) and steered noise +-delta/2. A 1-D dense
+    check caller noise, iid draws are delta*(2u - 1) and steered noise +-delta/2. A single dense
     row's targets lie in [min(low, truth), max(high, truth)] for its ends, so it skips the
     clamp when that interval, widened by delta as computed, is in [0, 1]: rounding is monotone.
     """

@@ -269,3 +269,39 @@ def test_criterion_13_noise_free_dichotomy():
                   f"{stranded} stranded, {between} in between, over 4 configs x 100 seeds at "
                   f"horizon {horizon}; control without the pull: worst {unpulled:.2f}, "
                   f"{time.perf_counter() - started:.1f}s")
+
+
+def agreement_at_horizon(config: ModelConfig, mode: str, horizon: int):
+    """Whether each of seeds 0-49 ends with diameter <= epsilon, and farther than epsilon from
+    the truth; states are recorded 25 seeds at a time, 80 MB at n = 20 and horizon 20000."""
+    spec = RunSpec(config=config, horizon=horizon, mode=mode, tail_window=1, record_states=True)
+    ends = np.array([rec.states[-1].copy() for first in (0, 25)
+                     for rec in iter_ensemble(spec, range(first, first + 25))])
+    agreed = np.ptp(ends, axis=1) <= config.epsilon
+    far = np.abs(ends - config.truth).max(axis=1) > config.epsilon
+    return agreed, far
+
+
+def test_criterion_14_noise_alone_agrees_away_from_the_truth():
+    # noise alone drives Hegselmann-Krause dynamics to quasi-consensus (Su, Chen & Hong,
+    # Automatica 2017), but with no seeker at no preferred point; without noise the
+    # agents stay in clusters more than epsilon apart (Blondel, Hendrickx & Tsitsiklis 2009)
+    started = time.perf_counter()
+    noisy = ModelConfig(n=20, epsilon=0.2, truth=0.8, alpha=0.5, seekers=[], delta=0.02)
+    agreed, far = agreement_at_horizon(noisy, MODE_IID, 20_000)
+    far_share = far[agreed].mean() if agreed.any() else 0.0
+    fragmented = 1.0 - agreement_at_horizon(
+        dataclasses.replace(noisy, delta=0.0), MODE_NOISE_FREE, 2000)[0].mean()
+    # negative control: one seeker at the same horizon brings the agreement to the truth
+    pulled, pulled_far = agreement_at_horizon(dataclasses.replace(noisy, seekers=[0]), MODE_IID,
+                                              20_000)
+    control_share = pulled_far[pulled].mean() if pulled.any() else 0.0
+    ok = (agreed.mean() >= 0.8 and far_share >= 0.4 and fragmented >= 0.8
+          and control_share < 0.4)
+    assert report(14, "noise alone (m = 0) brings agreement, not the truth", ok,
+                  f"with noise {agreed.mean():.0%} of 50 seeds end with diameter <= epsilon "
+                  f"at horizon 20000 (>= 80%), {far_share:.0%} of them > epsilon from the "
+                  f"truth (>= 40%); without noise {fragmented:.0%} stay fragmented at horizon "
+                  f"2000 (>= 80%); control with one seeker: {control_share:.0%} of "
+                  f"{pulled.mean():.0%} agreeing end far (< 40% fails the assertion), "
+                  f"{time.perf_counter() - started:.1f}s")

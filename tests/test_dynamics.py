@@ -729,37 +729,50 @@ def certificate_configs(n):
             yield ModelConfig(n, 0.2, truth, alpha, seekers, delta)
 
 
+def count_clamps(monkeypatch):
+    """A list that gets a 1 for each ``clamp_vector`` call."""
+    calls = []
+    clamp = dyn.clamp_vector
+    monkeypatch.setattr(dyn, "clamp_vector", lambda values: calls.append(1) or clamp(values))
+    return calls
+
+
 class TestOneRowCertificates:
-    # a 1-D dense row skips the hull clip and the clamp where they provably change no bit
+    # a single dense row, (n,) or (1, n), skips the hull clip and the clamp where they
+    # provably change no bit
+    @pytest.mark.parametrize("lead", [(), (1,)], ids=["(n,)", "(1, n)"])
     @pytest.mark.parametrize("n", [1, 2, 25, _DENSE_MAX_N])
     @pytest.mark.parametrize("noise_kind", ["noise-free", "iid", "steered"])
-    def test_one_row_steps_keep_the_bits_of_the_numpy_form(self, n, noise_kind):
+    def test_one_row_steps_keep_the_bits_of_the_numpy_form(self, n, noise_kind, lead):
         rng = np.random.Generator(np.random.PCG64(53 + n))
         for x in certificate_edges(rng, n):
+            x = x.reshape(lead + (n,))
             assert_same_bits(neighbor_means(x, 0.2), numpy_form_neighbor_means(x, 0.2))
             for cfg in certificate_configs(n):
                 if noise_kind == "steered" and cfg.delta == 0.0:
                     continue  # steered noise needs delta > 0
-                noises = [noise_of_kind(rng, noise_kind, (n,), cfg.delta)]
+                noises = [noise_of_kind(rng, noise_kind, x.shape, cfg.delta)]
                 if noise_kind == "iid":  # the extremes, and -0.0 on every agent
-                    noises += [np.full(n, cfg.delta), np.full(n, -cfg.delta), np.full(n, -0.0)]
+                    noises += [np.full(x.shape, v) for v in (cfg.delta, -cfg.delta, -0.0)]
                 for noise in noises:
                     expected = numpy_form_step(x, cfg, noise)
                     assert_same_bits(_step(x, cfg, noise), expected)
-                    if not callable(noise):
+                    if not callable(noise) and not lead:
                         assert_same_bits(step(x, cfg, noise), expected)
 
-    def test_the_kernel_returns_the_ends_of_a_1d_dense_row_only(self):
+    def test_the_kernel_returns_the_ends_of_a_single_dense_row_only(self):
         rng = np.random.Generator(np.random.PCG64(59))
-        for x in (0.5 + 0.1 * rng.random(20), rng.random(20)):
-            assert dyn._neighbor_means(x, 0.2)[1] == (x.min(), x.max())
-            assert dyn._neighbor_means(x[None], 0.2)[1] is None
-        assert dyn._neighbor_means(rng.random(200), 0.2)[1] is None
+        for x in (0.5 + 0.1 * rng.random(20), rng.random(20)):  # one group, then the mask path
+            for row in (x, x[None], x.reshape(1, 1, 20)):
+                assert dyn._neighbor_means(row, 0.2)[1] == (x.min(), x.max())
+            for batch in (np.stack([x, x]), np.stack([x, rng.random(20), x])):
+                assert dyn._neighbor_means(batch, 0.2)[1] is None
+        x = rng.random(200)  # the window kernel
+        for row in (x, x[None]):
+            assert dyn._neighbor_means(row, 0.2)[1] is None
 
     def test_the_clamp_runs_only_where_a_target_can_leave_the_unit_interval(self, monkeypatch):
-        calls = []
-        clamp = dyn.clamp_vector
-        monkeypatch.setattr(dyn, "clamp_vector", lambda values: calls.append(1) or clamp(values))
+        calls = count_clamps(monkeypatch)
         rng = np.random.Generator(np.random.PCG64(61))
         cfg = ModelConfig(20, 0.2, 0.8, 0.5, range(10), 0.01)
         inside = 0.8 + 0.03 * rng.uniform(-1.0, 1.0, 20)
@@ -771,8 +784,38 @@ class TestOneRowCertificates:
         edge = inside.copy()
         edge[3] = 0.995  # within delta of 1
         step(edge, cfg, noise)
-        _step(inside[None], cfg, noise[None])  # a batch keeps its clamp
+        _step(np.stack([inside, inside]), cfg, np.stack([noise, noise]))  # a batch keeps its clamp
         assert calls == [1, 1]
+
+    @pytest.mark.parametrize("noise_kind", ["noise-free", "iid", "steered"])
+    def test_a_row_and_its_batch_of_one_take_the_same_path(self, noise_kind, monkeypatch):
+        # the same ends, bits and clamp calls on consensus, mask and window rows, inside
+        # the unit interval and at its edges; a batch of two gets no ends, so it keeps
+        # the hull clip and the clamp
+        calls = count_clamps(monkeypatch)
+        rng = np.random.Generator(np.random.PCG64(67))
+        for n in (20, 200):
+            cfg = ModelConfig(n, 0.2, 0.8, 0.5, range(n // 2), 0.01)
+            near_zero = 0.1 * rng.random(n)
+            near_zero[0] = -0.0
+            rows = (0.8 + 0.03 * rng.uniform(-1.0, 1.0, n), 0.7 + 0.25 * rng.random(n),
+                    near_zero, rng.random(n))
+            for x in rows:
+                noise = noise_of_kind(rng, noise_kind, (n,), cfg.delta)
+                seen = []
+                for copies in (None, 1, 2):  # the row, its batch of one, a batch of two
+                    profile = x if copies is None else np.stack([x] * copies)
+                    stacked = isinstance(noise, np.ndarray) and copies
+                    row_noise = np.stack([noise] * copies) if stacked else noise
+                    calls.clear()
+                    out = _step(profile, cfg, row_noise).reshape(-1, n)[-1]
+                    seen.append((dyn._neighbor_means(profile, cfg.epsilon)[1], out, calls[:]))
+                (ends, out, clamped), (ends_1, out_1, clamped_1), (ends_2, out_2, clamped_2) = seen
+                assert ends == ends_1 and (ends is None) == (n > _DENSE_MAX_N)
+                assert_same_bits(out_1, out)
+                assert clamped_1 == clamped
+                assert ends_2 is None and clamped_2 == ([] if noise is None else [1])
+                assert_same_bits(out_2, out)
 
 
 def count_builds(monkeypatch):

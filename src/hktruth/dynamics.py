@@ -232,8 +232,8 @@ def _windows(s: np.ndarray, epsilon: float) -> tuple[np.ndarray, np.ndarray]:
     return lo, np.bincount(lo, minlength=lo.size).cumsum()
 
 
-def _window_means(x: np.ndarray, epsilon: float) -> np.ndarray:
-    """``neighbor_means`` from the sorted windows, in O(n log n) per row."""
+def _window_means(x: np.ndarray, epsilon: float) -> tuple[np.ndarray, tuple | None]:
+    """``_neighbor_means`` from the sorted windows, in O(n log n) per row."""
     n = x.shape[-1]
     rows = x.size // n
     # flat position of each row's k-th smallest opinion
@@ -258,7 +258,7 @@ def _window_means(x: np.ndarray, epsilon: float) -> np.ndarray:
     out = np.empty(x.size)
     means = centre + (sums / (hi - lo)).reshape(rows, n)
     out[where] = means.ravel().clip(flat[lo], flat[hi - 1])
-    return out.reshape(x.shape)
+    return out.reshape(x.shape), (flat.item(0), flat.item(n - 1)) if rows == 1 else None
 
 
 @lru_cache(maxsize=None)  # (n,) and (n, n) per n <= _DENSE_MAX_N
@@ -396,14 +396,14 @@ def neighbor_means(x: np.ndarray, epsilon: float) -> np.ndarray:
 def _neighbor_means(x: np.ndarray, epsilon: float) -> tuple[np.ndarray, tuple | None]:
     """Unchecked ``neighbor_means``: ``x`` non-empty C-contiguous float64 in [0, 1], epsilon > 0.
 
-    Also returns a single dense row's ends (least, greatest), else None. Summed in any order,
-    such a row errs by at most gamma_(n-1) * n * greatest, under half a spread above
+    Also returns a single row's ends (least, greatest), else None. Summed in any order, a
+    single dense row errs by at most gamma_(n-1) * n * greatest, under half a spread above
     n^2 * 2^-52 * greatest + 2^-1022; so fl(sum)/n is strictly inside the ends and off zero,
     monotone rounding keeps its mean there, and the row within epsilon skips the hull clip.
     """
     n = x.shape[-1]
     if n > _DENSE_MAX_N:
-        return _window_means(x, epsilon), None
+        return _window_means(x, epsilon)
     ordered = x.copy()
     ordered.sort()
     low, high = ordered.item(0), ordered.item(n - 1)  # row 0's ends
@@ -432,7 +432,7 @@ def _step(
     into [0, 1]: an array of the shape of ``x``, or a function of (neighborhood
     means, config), so that steered noise reuses the means the targets are built from.
     Every |noise| must be <= config.delta, unchecked: ``step`` and ``verify.absorption_margin``
-    check caller noise, iid draws are delta*(2u - 1) and steered noise +-delta/2. A single dense
+    check caller noise, iid draws are delta*(2u - 1) and steered noise +-delta/2. A single
     row's targets lie in [min(low, truth), max(high, truth)] for its ends, so it skips the
     clamp when that interval, widened by delta as computed, is in [0, 1]: rounding is monotone.
     """

@@ -103,6 +103,8 @@ class TrajectoryRecord:
     included); subset metrics are NaN when the subset is empty.
     ``entry_time`` is the first step at which the absorbing-band
     condition held, or None (also None when the config admits no bounds).
+    ``final_state`` is the state at the horizon, kept whether or not
+    ``states`` records every step.
     """
 
     spec: RunSpec
@@ -112,6 +114,7 @@ class TrajectoryRecord:
     entry_time: int | None
     tail_sup: float
     bounds: NoiseBounds | None
+    final_state: np.ndarray
     states: np.ndarray | None = None
 
 
@@ -205,6 +208,7 @@ def _run_batch(spec: RunSpec, seeds: Sequence[int]) -> list[TrajectoryRecord]:
             entry_time=entries[i],
             tail_sup=float(tail_sups[i]),
             bounds=nb,
+            final_state=x[i],
             states=None if states is None else states[i],
         )
         for i, seed in enumerate(seeds)

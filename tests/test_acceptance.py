@@ -13,10 +13,11 @@ import math
 import time
 
 import numpy as np
+import pytest
 
-from hktruth.bounds import block_length, bounds_for_config, compute_bounds
+from hktruth.bounds import band_slack, block_length, bounds_for_config, compute_bounds
 from hktruth.cli import main as cli_main
-from hktruth.dynamics import ModelConfig, step
+from hktruth.dynamics import ModelConfig, _step, step, subset_deviations
 from hktruth.harness import (
     MODE_IID,
     MODE_NOISE_FREE,
@@ -24,6 +25,8 @@ from hktruth.harness import (
     iter_ensemble,
 )
 from hktruth.verify import (
+    IN_BAND_RADIUS,
+    ROUNDING_SLACK,
     absorption_margin,
     check_bound_consistency,
     check_quarter_bands,
@@ -86,8 +89,11 @@ def test_criterion_04_steered_contraction():
     missed = 0
     checked = 0
     while checked < 1000:
-        config = sample_admissible_config(rng, n_max=20,
-                                          delta_frac=(0.5, 0.99), min_delta=0.004)
+        config = sample_admissible_config(rng, n_max=20)
+        delta = float(rng.uniform(0.5, 0.99) * bounds_for_config(config).delta_lower)
+        if delta <= 0.004:  # a walk takes about 2/delta steps
+            continue
+        config = dataclasses.replace(config, delta=delta)
         x0 = rng.random(config.n)
         if float(np.max(np.abs(x0 - config.truth))) <= config.delta:
             continue
@@ -236,11 +242,69 @@ def test_criterion_11_one_truth_seeker_is_enough():
                       f"seeds end with a non-seeker > epsilon from the truth")
 
 
+def worst_noise(means, config):
+    """+delta where an agent's mean is at or above the truth, else -delta: the mirror image of
+    steered noise at full delta, which pushes every target away from the truth."""
+    return np.where(means >= config.truth, config.delta, -config.delta)
+
+
+def one_step_margins(delta_of) -> np.ndarray:
+    """Least band slack after one worst-case step, for each of 1000 configs of criterion 03's
+    distribution with its delta set to ``delta_of(config, delta_lower)``.
+
+    Each config steps 20 uniform in-band states and 40 corners, every agent at the truth +- its
+    bound; fl(truth +- bound) can round out of the band, so each such corner is nudged toward
+    the truth an ulp at a time until it is inside.
+    """
+    rng = np.random.Generator(np.random.PCG64(1212))
+    margins = np.empty(1000)
+    for k in range(margins.size):
+        config = sample_admissible_config(rng, n_max=25)
+        config = dataclasses.replace(
+            config, delta=delta_of(config, bounds_for_config(config).delta_lower))
+        nb = bounds_for_config(config)
+        bound = np.where(config.seeker_mask, nb.delta1, nb.delta2)
+        u = rng.uniform(-IN_BAND_RADIUS, IN_BAND_RADIUS, (20, config.n))
+        signs = rng.choice([-1.0, 1.0], (40, config.n))
+        x = np.clip(config.truth + bound * np.concatenate([u, signs]), 0.0, 1.0)
+        while (out := band_slack(*subset_deviations(x, config)[1:], nb) < 0.0).any():
+            x[out] = np.nextafter(x[out], config.truth)
+        x = _step(x, config, worst_noise)
+        margins[k] = band_slack(*subset_deviations(x, config)[1:], nb).min()
+    return margins
+
+
+def test_criterion_12_one_step_band_lemma():
+    # the paper's key lemma: with admissible delta no noise |xi| <= delta moves a profile out of
+    # the absorbing band in one step; the worst noise is known, so one step checks it exactly
+    started = time.perf_counter()
+    margins = one_step_margins(lambda config, delta_lower: config.delta)
+    ok = margins.min() >= -ROUNDING_SLACK
+    assert report(12, "one worst-case step keeps an in-band profile in the band", ok,
+                  f"worst margin {margins.min():.3e} (tol {ROUNDING_SLACK:.0e}), "
+                  f"{np.count_nonzero(margins < -ROUNDING_SLACK)} of 10^3 configs x 60 states "
+                  f"leave the band, {time.perf_counter() - started:.2f}s")
+
+
+def test_criterion_12_control_fails_above_delta_lower():
+    # negative control: just above delta_lower the same worst-case step leaves the band
+    margins = one_step_margins(lambda config, delta_lower: 1.001 * delta_lower)
+    assert margins.min() < -ROUNDING_SLACK
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 15: compute_bounds rounds to nearest, so "
+                   "fl(delta_lower) can exceed the exact delta_lower and fl(delta1 + delta2) "
+                   "pass epsilon")
+def test_criterion_12_holds_at_delta_lower():
+    # the paper's closed end, delta = delta_lower, as computed
+    margins = one_step_margins(lambda config, delta_lower: delta_lower)
+    assert margins.min() >= -ROUNDING_SLACK
+
+
 def noise_free_ends(config: ModelConfig, pulled: int, seeds, horizon: int):
     """Distances to the truth at the horizon of noise-free runs: agents [0, pulled), then the rest."""
-    spec = RunSpec(config=config, horizon=horizon, mode=MODE_NOISE_FREE, tail_window=1,
-                   record_states=True)
-    ends = np.abs(np.array([rec.states[-1] for rec in iter_ensemble(spec, seeds)]) - config.truth)
+    spec = RunSpec(config=config, horizon=horizon, mode=MODE_NOISE_FREE, tail_window=1)
+    ends = np.abs(np.array([rec.final_state for rec in iter_ensemble(spec, seeds)]) - config.truth)
     return ends[:, :pulled], ends[:, pulled:]
 
 
@@ -273,10 +337,9 @@ def test_criterion_13_noise_free_dichotomy():
 
 def agreement_at_horizon(config: ModelConfig, mode: str, horizon: int):
     """Whether each of seeds 0-49 ends with diameter <= epsilon, and farther than epsilon from
-    the truth; states are recorded 25 seeds at a time, 80 MB at n = 20 and horizon 20000."""
-    spec = RunSpec(config=config, horizon=horizon, mode=mode, tail_window=1, record_states=True)
-    ends = np.array([rec.states[-1].copy() for first in (0, 25)
-                     for rec in iter_ensemble(spec, range(first, first + 25))])
+    the truth."""
+    spec = RunSpec(config=config, horizon=horizon, mode=mode, tail_window=1)
+    ends = np.array([rec.final_state for rec in iter_ensemble(spec, range(50))])
     agreed = np.ptp(ends, axis=1) <= config.epsilon
     far = np.abs(ends - config.truth).max(axis=1) > config.epsilon
     return agreed, far

@@ -62,7 +62,7 @@ def reference_record(spec: RunSpec) -> TrajectoryRecord:
     d_v = dev.max(axis=1)
     return TrajectoryRecord(spec=spec, d_v=d_v, d_s=d_s, d_sbar=d_sbar, entry_time=entry,
                             tail_sup=float(d_v[-spec.tail_window:].max()), bounds=nb,
-                            states=xs)
+                            final_state=x, states=xs)
 
 
 def make_spec(**overrides):
@@ -338,19 +338,25 @@ class TestEnsemble:
     @pytest.mark.parametrize("mode", MODES)
     def test_every_batch_shape_matches_a_vector_loop(self, mode):
         # runs alone, in one partial batch, and across a batch boundary; the
-        # horizon crosses a noise block
+        # horizon crosses a noise block. A run keeps its final state, bit for bit,
+        # whether or not it records its states
         spec = make_spec(horizon=_NOISE_BLOCK + 3, tail_window=20, mode=mode,
                          record_states=True)
+        unrecorded = dataclasses.replace(spec, record_states=False)
         expected: dict[int, TrajectoryRecord] = {}
         for runs in (1, 7, 50, _BATCH_RUNS + 6):
             records = list(iter_ensemble(spec, range(40, 40 + runs)))
-            assert len(records) == runs
+            bare = list(iter_ensemble(unrecorded, range(40, 40 + runs)))
+            assert len(records) == len(bare) == runs
             for i, rec in enumerate(records):
                 if i not in expected:
                     expected[i] = reference_record(dataclasses.replace(spec, seed=40 + i))
                 ref = expected[i]
                 assert rec.spec == ref.spec
                 np.testing.assert_array_equal(rec.states, ref.states)
+                final = ref.final_state.tobytes()
+                assert rec.final_state.tobytes() == rec.states[-1].tobytes() == final
+                assert bare[i].states is None and bare[i].final_state.tobytes() == final
                 np.testing.assert_array_equal(rec.d_v, ref.d_v)
                 np.testing.assert_array_equal(rec.d_s, ref.d_s)
                 np.testing.assert_array_equal(rec.d_sbar, ref.d_sbar)
@@ -423,6 +429,7 @@ class TestEmpiricalLimsup:
         return TrajectoryRecord(
             spec=spec, d_v=arr, d_s=arr.copy(), d_sbar=arr.copy(),
             entry_time=None, tail_sup=float(arr[-1:].max()), bounds=None,
+            final_state=np.full(spec.config.n, spec.config.truth),
         )
 
     def test_constant_series(self):

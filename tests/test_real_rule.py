@@ -13,8 +13,10 @@ boundaries, never by the step kernel or the run loop.
 
 from __future__ import annotations
 
+import argparse
 import math
 import re
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -23,6 +25,7 @@ import pytest
 import hktruth.bounds
 import hktruth.dynamics as dyn
 from hktruth.bounds import block_length, compute_bounds, steered_noise
+from hktruth.cli import _resolve, build_model_config
 from hktruth.dynamics import ModelConfig
 from hktruth.harness import MODES, RunSpec, draw_noise, run_trajectory
 from hktruth.verify import check_quarter_bands, sample_admissible_config
@@ -33,6 +36,11 @@ INSIDE = 0.01
 
 def _rng():
     return np.random.Generator(np.random.PCG64(0))
+
+
+def _cli(key, value):
+    """The config the CLI builds from its defaults with ``key`` set to ``value``."""
+    return build_model_config({**_resolve(argparse.Namespace(config=None)), key: value})
 
 
 # id, the call that takes the value, field name, interval
@@ -50,12 +58,12 @@ BOUNDARIES = [
     ("block_length", block_length, "delta", "(0, 1)"),
     ("draw_noise", lambda v: draw_noise(_rng(), 3, v), "delta", "[0, inf)"),
     ("check_quarter_bands", lambda v: check_quarter_bands(draws=10, delta=v), "delta", "[0, inf)"),
-    ("sample_admissible_config.delta_frac[0]",
-     lambda v: sample_admissible_config(_rng(), delta_frac=(v, 0.99)), "delta_frac[0]", "[0, 1]"),
-    ("sample_admissible_config.delta_frac[1]",
-     lambda v: sample_admissible_config(_rng(), delta_frac=(0.0, v)), "delta_frac[1]", "[0, 1]"),
-    ("sample_admissible_config.min_delta",
-     lambda v: sample_admissible_config(_rng(), min_delta=v), "min_delta", "[0, inf)"),
+    # a sampled config takes another delta only through replace
+    ("sample_admissible_config.replace-delta",
+     lambda v: replace(sample_admissible_config(_rng()), delta=v), "delta", "[0, inf)"),
+    ("cli.epsilon", lambda v: _cli("epsilon", v), "epsilon", "(0, 1]"),
+    ("cli.truth", lambda v: _cli("truth", v), "truth", "[0, 1]"),
+    ("cli.delta", lambda v: _cli("delta", v), "delta", "[0, inf)"),
 ]
 # a scalar alpha is one value for every agent; a list is one per agent, so
 # these refuse all of the above but the list
@@ -63,6 +71,8 @@ SCALAR_ALPHA = [
     ("ModelConfig.alpha", lambda v: ModelConfig(3, 0.2, 0.8, v, [], 0.01), "alpha", "[0, 1]"),
     ("ModelConfig.seeker-alpha", lambda v: ModelConfig(3, 0.2, 0.8, v, [0], 0.01),
      "alpha", "(0, 1]"),
+    # the default settings name seekers
+    ("cli.alpha", lambda v: _cli("alpha", v), "alpha", "(0, 1]"),
 ]
 
 
@@ -136,21 +146,6 @@ def test_checked_values_are_stored_as_floats():
     cfg = ModelConfig(2, np.float32(0.25), np.array(1), [np.int64(1), np.array(0.5)], [0], 0)
     assert (cfg.epsilon, cfg.truth, cfg.alpha, cfg.delta) == (0.25, 1.0, (1.0, 0.5), 0.0)
     assert all(type(v) is float for v in (cfg.epsilon, cfg.truth, *cfg.alpha, cfg.delta))
-
-
-@pytest.mark.parametrize("kwargs, message", [
-    ({"delta_frac": (0.5, 2.0)}, "delta_frac[1] must be a real number in [0, 1], got 2.0"),
-    ({"delta_frac": (-0.1, 0.5)}, "delta_frac[0] must be a real number in [0, 1], got -0.1"),
-    ({"min_delta": math.nan}, "min_delta must be a real number in [0, inf), got nan"),
-    ({"delta_frac": (0.9, 0.5)},
-     "delta_frac must satisfy delta_frac[0] <= delta_frac[1], got (0.9, 0.5)"),
-])
-def test_sampler_checks_its_floats_before_it_draws(kwargs, message):
-    rng = _rng()
-    state = rng.bit_generator.state
-    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
-        sample_admissible_config(rng, **kwargs)
-    assert rng.bit_generator.state == state
 
 
 # neighbor_means takes epsilon in (0, inf], whose closed inf end _outside cannot give

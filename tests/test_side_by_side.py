@@ -70,6 +70,12 @@ def test_the_step_cases_select_what_they_say(tool):
     assert x.shape == noise.shape == (50, 20) and np.all(np.abs(noise) <= cfg.delta)
     _, [x], eps, step = cases["consensus-20"]
     assert x.ndim == 1 and np.ptp(x) <= eps and step is None
+    _, [x], eps, (fields, noise) = cases["step-window-2000"]
+    cfg = ModelConfig(epsilon=eps, **fields)
+    # one 1-D row on the window kernel, inside the band and clear of the unit interval's ends
+    assert x.shape == noise.shape == (2000,) and in_absorbing_band(x, cfg)
+    assert x.min() - cfg.delta >= 0.0 and x.max() + cfg.delta <= 1.0
+    assert np.all(np.abs(noise) <= cfg.delta)
 
 
 def test_a_tree_without_the_step_kernel_is_timed_on_neighbor_means(tool):

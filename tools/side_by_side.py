@@ -80,6 +80,11 @@ def _cases() -> dict[str, tuple[str, list[np.ndarray], float, tuple | None]]:
         "_step, 50 rows whose masks are kept, iid noise", [rng.random((50, 20))],
         0.2, (ref, rng.uniform(-0.01, 0.01, (50, 20))))
     cases["consensus-20"] = ("one 1-D row within epsilon", [0.5 + 0.1 * rng.random(20)], 0.2, None)
+    # the reference config's band and noise at n = 2000, on the sorted-window kernel
+    cases["step-window-2000"] = (
+        "_step, one 1-D row inside the band, sorted-window kernel, iid noise",
+        [0.8 + 0.03 * rng.uniform(-1, 1, 2000)], 0.2,
+        ({**ref, "n": 2000, "seekers": range(1000)}, rng.uniform(-0.01, 0.01, 2000)))
     return cases
 
 

@@ -40,9 +40,6 @@ __all__ = [
 ]
 
 
-STEERED_DELTA = "steered noise requires delta > 0, got {!r}"  # RunSpec checks it up front
-
-
 @dataclass(frozen=True)
 class NoiseBounds:
     """Derived precision bounds for one (n, m, alpha, epsilon, delta)."""
@@ -130,16 +127,20 @@ def steered_noise(means: np.ndarray, config: ModelConfig) -> np.ndarray:
     deviation to at most max(d - delta/2, delta/2), so from any profile
     with deviation above delta each step gains at least delta/2. The step
     kernel takes this function as its noise and passes it the means it
-    builds the targets from.
+    builds the targets from. It checks no delta: ``RunSpec`` and ``block_length`` do.
     """
-    if config.delta <= 0.0:
-        raise ValueError(STEERED_DELTA.format(config.delta))
     half = config.delta / 2.0
     return np.where(means <= config.truth, half, -half)
 
 
 def block_length(delta: float) -> int:
-    """Steered steps guaranteed to reach deviation <= delta from any start."""
+    """Steered steps guaranteed to reach deviation <= delta from any start.
+
+    ceil((1 - delta) / (delta / 2)); a delta outside (0, 1) or below ~1.1e-308 raises ValueError.
+    """
     delta = _check_real("delta", delta, "(0, 1)")
-    return int(math.ceil((1.0 - delta) / (delta / 2.0)))
+    try:
+        return math.ceil((1.0 - delta) / (delta / 2.0))
+    except (ZeroDivisionError, OverflowError):
+        raise ValueError(f"delta = {delta!r} has no finite block length") from None
 

@@ -15,8 +15,8 @@ byte-identical across runs (the manifest is too, except its
 ``duration_seconds`` field).
 
 Exit codes: 0 success, 1 usage or config error (a ``ValueError`` from
-the library included, and a ``MemoryError`` from inputs whose arrays
-cannot be allocated), 2 verification failure, 3 I/O error.
+the library included, and a ``MemoryError`` or ``OverflowError`` from
+inputs too large to hold, on one line), 2 verification failure, 3 I/O error.
 """
 
 from __future__ import annotations
@@ -417,8 +417,8 @@ def main(argv: Sequence[str] | None = None) -> int:
     try:
         args = build_parser().parse_args(argv)
         return COMMANDS[args.command](_resolve(args), args)
-    except (ValueError, MemoryError) as exc:  # bad usage, a library rejection, arrays too large
-        print(f"hktruth: error: {exc}", file=sys.stderr)
+    except (ValueError, MemoryError, OverflowError) as exc:  # bad usage, a rejection, too large
+        print(f"hktruth: error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return EXIT_USAGE
     except OSError as exc:
         print(f"hktruth: i/o error: {exc}", file=sys.stderr)

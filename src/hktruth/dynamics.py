@@ -18,8 +18,8 @@ describes how the kernels compute and what they cost.
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -51,7 +51,9 @@ class ModelConfig:
     for a seeker; it is stored as a tuple of floats. Only the attraction of
     agents in ``seekers`` takes effect. ``seekers`` holds distinct integer
     indices in [0, n), checked like ``n`` by ``_check_int``; it may be
-    empty, which yields plain bounded-confidence averaging.
+    empty, which yields plain bounded-confidence averaging. Construction derives the
+    read-only ``seeker_mask``, ``effective_alpha`` (alpha for a seeker, else 0) and
+    ``full_attraction`` (where that is 1), and ``seeker_alpha`` (the seekers' one alpha, or None).
     """
 
     n: int
@@ -60,6 +62,10 @@ class ModelConfig:
     alpha: tuple[float, ...]
     seekers: frozenset[int]
     delta: float
+    seeker_mask: np.ndarray = field(init=False, repr=False, compare=False)
+    effective_alpha: np.ndarray = field(init=False, repr=False, compare=False)
+    full_attraction: np.ndarray = field(init=False, repr=False, compare=False)
+    seeker_alpha: float | None = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         n, alpha = self.n, self.alpha
@@ -82,41 +88,21 @@ class ModelConfig:
                 raise ValueError(f"alpha must have one entry per agent ({n}), got {len(alpha_t)}")
         else:
             alpha_t = (_check_real("alpha", alpha, "(0, 1]" if seekers_f else "[0, 1]"),) * int(n)
+        mask = np.zeros(n, dtype=bool)
+        mask[list(seekers_f)] = True
+        eff = np.where(mask, alpha_t, 0.0)
+        full = np.flatnonzero(eff == 1.0)
+        mask.flags.writeable = eff.flags.writeable = full.flags.writeable = False
+        alphas = {alpha_t[i] for i in seekers_f}
         # stored past the frozen dataclass's __setattr__
-        vars(self).update(n=int(n), epsilon=epsilon, truth=truth, alpha=alpha_t,
-                          seekers=seekers_f, delta=delta)
+        vars(self).update(n=int(n), epsilon=epsilon, truth=truth, alpha=alpha_t, seekers=seekers_f,
+                          delta=delta, seeker_mask=mask, effective_alpha=eff, full_attraction=full,
+                          seeker_alpha=alphas.pop() if len(alphas) == 1 else None)
 
     @property
     def m(self) -> int:
         """Number of truth seekers."""
         return len(self.seekers)
-
-    @cached_property
-    def seeker_mask(self) -> np.ndarray:
-        mask = np.zeros(self.n, dtype=bool)
-        mask[sorted(self.seekers)] = True
-        mask.flags.writeable = False
-        return mask
-
-    @cached_property
-    def seeker_alpha(self) -> float | None:
-        """The attraction strength every seeker shares: None if they differ or there is none."""
-        alphas = {self.alpha[i] for i in self.seekers}
-        return alphas.pop() if len(alphas) == 1 else None
-
-    @cached_property
-    def effective_alpha(self) -> np.ndarray:
-        """Per-agent attraction actually applied: alpha[i] for seekers, else 0."""
-        eff = np.zeros(self.n)
-        for i in self.seekers:
-            eff[i] = self.alpha[i]
-        eff.flags.writeable = False
-        return eff
-
-    @cached_property
-    def full_attraction(self) -> np.ndarray:
-        """Indices of the agents with effective alpha 1, whose target is the truth itself."""
-        return np.flatnonzero(self.effective_alpha == 1.0)
 
     def homogeneous_alpha(self) -> float | None:
         """The common attraction strength, or None if entries differ."""
@@ -369,8 +355,8 @@ def neighbor_means(x: np.ndarray, epsilon: float) -> np.ndarray:
     """Neighborhood average for every agent of a raw opinion vector.
 
     The neighbours of x_i are the x_j with |fl(x_j - x_i)| <= epsilon, for
-    ``epsilon`` a real number in (0, inf] (inf takes in every agent), a
-    float by one comparison and anything else by ``_check_real``. Each mean
+    ``epsilon`` a real number in (0, inf] (inf takes in every agent), checked
+    by ``_check_real``; no step calls this, only its kernel. Each mean
     is clipped into the min/max hull of its neighbours, so the noise-free
     update stays in [0, 1] without clamping. Leading axes of ``x`` are batch
     axes, and a row's means are bit for bit the same alone or in a batch. A
@@ -383,8 +369,7 @@ def neighbor_means(x: np.ndarray, epsilon: float) -> np.ndarray:
     the sorted row. The two sums differ by O(n * 2^-52); the neighbours and
     the hull are the same.
     """
-    if not (isinstance(epsilon, float) and epsilon > 0.0):
-        epsilon = _check_real("epsilon", epsilon, "(0, inf]")
+    epsilon = _check_real("epsilon", epsilon, "(0, inf]")
     # a view's matmul leaves the BLAS path, and float32 would be summed in float32
     x = np.ascontiguousarray(x, dtype=np.float64)
     if not x.size:

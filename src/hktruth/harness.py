@@ -32,7 +32,7 @@ from typing import Iterable, Iterator, Sequence
 import numpy as np
 
 from . import dynamics as dyn
-from .bounds import STEERED_DELTA, NoiseBounds, band_slack, bounds_for_config, steered_noise
+from .bounds import NoiseBounds, band_slack, bounds_for_config, steered_noise
 from .dynamics import ModelConfig
 
 __all__ = [
@@ -84,7 +84,7 @@ class RunSpec:
         dyn._check_int("tail_window", self.tail_window, 1, self.horizon)
         dyn._check_int("seed", self.seed, 0)
         if self.mode == MODE_STEERED and self.config.delta <= 0.0:
-            raise ValueError(STEERED_DELTA.format(self.config.delta))
+            raise ValueError(f"steered noise requires delta > 0, got {self.config.delta!r}")
         if isinstance(self.initial, str):
             if self.initial != "uniform-random":
                 raise ValueError(

@@ -237,11 +237,16 @@ def check_absorption(
 def check_steered_contraction(
     config: ModelConfig, trials: int = 100, seed: int = 0
 ) -> SuiteResult:
-    """Steered steps must gain delta/2 each and end within the block length; none is a skip."""
+    """Steered steps must gain delta/2 each and end within the block length.
+
+    A delta that ``block_length`` refuses is a skip, and so is a run where no walk steps.
+    """
     name = "steered-contraction"
     rng = _rng(seed, 5, trials=trials)
-    if not 0.0 < config.delta < 1.0:
-        return _skipped(name, f"delta={config.delta!r} outside (0, 1); hypothesis unmet")
+    try:
+        block_length(config.delta)
+    except ValueError as exc:
+        return _skipped(name, f"{exc}; hypothesis unmet")
     worst = math.inf
     failures = 0
     for _ in range(trials):

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 
@@ -238,11 +240,6 @@ class TestSteeredNoise:
         xi = steered_noise(neighbor_means(rng.random(5), cfg.epsilon), cfg)
         assert np.all((np.abs(xi) >= cfg.delta / 2) & (np.abs(xi) <= cfg.delta))
 
-    def test_requires_positive_delta(self):
-        cfg = ModelConfig(2, 0.2, 0.4, 0.5, [0], 0.0)
-        with pytest.raises(ValueError):
-            steered_noise(neighbor_means(np.asarray([0.1, 0.2]), cfg.epsilon), cfg)
-
 
 class TestBlockLength:
     def test_reference_delta(self):
@@ -254,10 +251,18 @@ class TestBlockLength:
     def test_ceiling_applied(self):
         assert block_length(0.4) == 3  # (1 - 0.4) / 0.2 = 3 exactly
 
-    @pytest.mark.parametrize("delta", [0.0, 1.0, -0.1, 1.5])
+    # below about 1.1e-308 the budget (1 - delta) / (delta / 2) is inf, or at 5e-324 a division by 0
+    @pytest.mark.parametrize("delta", [0.0, 1.0, -0.1, 1.5, 5e-324, 1e-310])
     def test_domain_errors(self, delta):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="delta"):
             block_length(delta)
+
+    def test_count_is_the_ceiling_of_the_budget(self):
+        # log-uniform over every finite budget: ceil((1 - delta) / (delta / 2)), as an int
+        rng = np.random.Generator(np.random.PCG64(29))
+        for delta in np.exp2(rng.uniform(-1021.0, 0.0, 10_000)).tolist():
+            count = block_length(delta)
+            assert type(count) is int and count == math.ceil((1 - delta) / (delta / 2))
 
 
 class TestRunningAverages:

@@ -319,14 +319,29 @@ class TestSimulateCommand:
         assert "hktruth: error:" in err and "delta" in err
         assert not (tmp_path / "nan").exists()
 
-    def test_a_horizon_too_large_to_allocate_is_a_usage_error(self, tmp_path, capsys):
-        # 3 * 10**15 float64 deviations are 24 PB, past any address space
-        assert main(["simulate", "--horizon", str(10**15),
-                     "--output", str(tmp_path / "huge")]) == 1
+    @pytest.mark.parametrize("argv, fragment", [
+        # 3 * 10**15 float64 deviations are 24 PB, past any address space: a MemoryError
+        (["simulate", "--horizon", str(10**15)], "Unable to allocate"),
+        # counts past the index range: OverflowErrors
+        (["bounds", "--n", str(10**23), "--m", "1"], "index-sized integer"),
+        (["ensemble", "--runs", str(10**23), "--horizon", "5"], "too large to convert"),
+    ], ids=["horizon", "n", "runs"])
+    def test_a_horizon_too_large_to_allocate_is_a_usage_error(self, tmp_path, capsys,
+                                                               monkeypatch, argv, fragment):
+        monkeypatch.chdir(tmp_path)  # where the default output directory would go
+        assert main(argv) == 1
         err = capsys.readouterr().err
         assert err.startswith("hktruth: error: ") and err.count("\n") == 1
-        assert "Unable to allocate" in err
-        assert not (tmp_path / "huge").exists()
+        assert fragment in err
+        assert not any(tmp_path.iterdir())
+
+    def test_an_error_without_a_message_is_named(self, monkeypatch, capsys):
+        def out_of_memory(settings, args):
+            raise MemoryError()
+
+        monkeypatch.setitem(hktruth.cli.COMMANDS, "bounds", out_of_memory)
+        assert main(["bounds"]) == 1
+        assert capsys.readouterr().err == "hktruth: error: MemoryError\n"
 
 
 class TestEnsembleCommand:
@@ -391,6 +406,14 @@ class TestVerifyCommand:
         assert code == 0
         assert out.count("[PASS]") == 5
         assert "[FAIL]" not in out
+
+    def test_a_delta_without_a_block_length_skips_the_steered_suite(self, capsys):
+        # 1e-310 is in (0, 1), but (1 - delta) / (delta / 2) overflows to inf
+        code = main(["verify", "--delta", "1e-310", "--trials", "4", "--steps", "10",
+                     "--draws", "100"])
+        out = capsys.readouterr().out
+        assert code == 0
+        assert "[SKIP] steered-contraction" in out and "no finite block length" in out
 
     def test_inadmissible_delta_skips_absorption(self, capsys):
         code = main(["verify", *REF_ARGS, "--delta", "0.03",

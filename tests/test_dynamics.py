@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import itertools
 import re
@@ -63,6 +64,41 @@ class TestModelConfig:
     ])
     def test_seeker_alpha_is_the_seekers_common_alpha(self, alpha, seekers, expected):
         assert make_config(n=3, alpha=alpha, seekers=seekers).seeker_alpha == expected
+
+    @pytest.mark.parametrize("n, alpha, seekers", [
+        (4, 0.5, [0, 2]),  # one alpha for all
+        (4, [0.5, 0.9, 0.7, 0.3], [1, 3]),  # one per agent, the seekers' differ
+        (4, [1.0, 0.5, 1.0, 0.2], [3, 0, 2]),  # two seekers with alpha 1
+        (3, 0.5, []),  # m = 0
+        (3, [0.4, 1.0, 0.4], range(3)),  # m = n
+    ], ids=["scalar", "per-agent", "alpha-1", "m=0", "m=n"])
+    def test_derived_fields_are_decided_at_construction(self, n, alpha, seekers):
+        def recomputed(cfg):
+            eff = [cfg.alpha[i] if i in cfg.seekers else 0.0 for i in range(cfg.n)]
+            common = {cfg.alpha[i] for i in cfg.seekers}
+            return ([i in cfg.seekers for i in range(cfg.n)], eff,
+                    [i for i in range(cfg.n) if eff[i] == 1.0],
+                    common.pop() if len(common) == 1 else None)
+
+        def derived(cfg):
+            return (cfg.seeker_mask.tolist(), cfg.effective_alpha.tolist(),
+                    cfg.full_attraction.tolist(), cfg.seeker_alpha)
+
+        cfg = make_config(n=n, alpha=alpha, seekers=seekers)
+        assert derived(cfg) == recomputed(cfg)
+        for arr in (cfg.seeker_mask, cfg.effective_alpha, cfg.full_attraction):
+            assert not arr.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                arr[...] = 0
+        other = dataclasses.replace(cfg, alpha=1.0, seekers=[n - 1])
+        assert derived(other) == recomputed(other) != derived(cfg)
+        # a twin with other derived values is equal, hashes and prints alike
+        twin = make_config(n=n, alpha=alpha, seekers=seekers)
+        vars(twin).update(seeker_mask=None, effective_alpha=None, full_attraction=None,
+                          seeker_alpha=-1.0)
+        assert twin == cfg and hash(twin) == hash(cfg) and repr(twin) == repr(cfg)
+        assert repr(cfg) == (f"ModelConfig(n={n}, epsilon=0.2, truth=0.8, alpha={cfg.alpha!r}, "
+                             f"seekers={cfg.seekers!r}, delta=0.02)")
 
     def test_empty_seeker_set_is_allowed(self):
         cfg = make_config(seekers=[])

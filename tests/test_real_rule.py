@@ -6,9 +6,9 @@ number, a complex, a Fraction, NaN and the value just outside each end
 of its interval (for an open end, the end itself), with a ValueError that
 names the field and prints the interval; each accepts an interior value
 as a NumPy float32 and as a 0-d array. The check runs where a config,
-bounds or a noise block is built, and in ``neighbor_means`` for an epsilon
-that is not a float, never inside a step. Opinions are checked at the same
-boundaries, never by the step kernel or the run loop.
+bounds or a noise block is built, and in ``neighbor_means``, never inside
+a step. Opinions are checked at the same boundaries, never by the step
+kernel or the run loop.
 """
 
 from __future__ import annotations

@@ -22,7 +22,7 @@ from .harness import (
     summarize,
 )
 
-__version__ = "0.14.0"
+__version__ = "0.15.0"
 
 __all__ = [
     "__version__",

@@ -67,6 +67,7 @@ def compute_bounds(n: int, m: int, alpha: float, epsilon: float, delta: float) -
     fl(delta1 + delta2) can pass epsilon by an ulp, so one worst-case step can
     leave the band by a full delta, as at n = 22, seekers 0-3, alpha =
     0.06928255667714005, epsilon = 0.15432559066118634, truth = 0.15008025291603644.
+    An alpha so small against delta that delta2 overflows raises ValueError.
     """
     _check_int("n", n, 1)
     _check_int("m", m, 1, n)
@@ -75,6 +76,9 @@ def compute_bounds(n: int, m: int, alpha: float, epsilon: float, delta: float) -
     delta = _check_real("delta", delta, "[0, inf)")
     delta1 = n * (1.0 - alpha) * delta / (m * alpha) + delta
     delta2 = n * delta / (m * alpha) + delta
+    if not math.isfinite(delta2):  # delta1 <= delta2, and delta_lower is at most m / n
+        raise ValueError(f"delta2 = {delta2!r} is not finite for alpha = {alpha!r} "
+                         f"and delta = {delta!r}")
     delta_lower = m * alpha * epsilon / (2.0 * n + (2.0 * m - n) * alpha)
     admissible = bool(0.0 < delta <= delta_lower)
     return NoiseBounds(delta1, delta2, max(delta1, delta2), delta_lower, admissible)

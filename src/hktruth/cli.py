@@ -9,10 +9,11 @@ Configuration comes from flags, optionally layered over a flat
 ``SETTINGS`` entry gives each key's flag, parser, default and help text;
 that parser reads the flag and the config-file value alike, so each value
 is checked once, as it is read. Numeric CSV fields are rendered with 12
-significant digits, JSON numbers with full double precision, so outputs
-diff cleanly: with the same config and seed every data artifact is
-byte-identical across runs (the manifest is too, except its
-``duration_seconds`` field).
+significant digits (per-step tables by a vectorised encoder that writes
+"%.12g"'s bytes a block of rows at a time), JSON numbers with full double
+precision and never as NaN or Infinity, so outputs diff cleanly: with the
+same config and seed every data artifact is byte-identical across runs
+(the manifest is too, except its ``duration_seconds`` field).
 
 Exit codes: 0 success, 1 usage or config error (a ``ValueError`` from
 the library included, and a ``MemoryError`` or ``OverflowError`` from
@@ -29,7 +30,7 @@ import json
 import sys
 import time
 from pathlib import Path
-from typing import Any, Callable, Iterable, Iterator, Sequence
+from typing import Any, BinaryIO, Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -255,23 +256,35 @@ class _Output:
     def __init__(self, settings: dict[str, Any]) -> None:
         self.dir, self.names, self.started = Path(settings["output"]), [], time.perf_counter()
 
-    def write(self, name: str, text: str) -> None:
+    def _open(self, name: str) -> BinaryIO:
         if not self.names:
             self.dir.mkdir(parents=True, exist_ok=True)
-        (self.dir / name).write_text(text)
+        file = (self.dir / name).open("wb")
         self.names.append(name)
+        return file
+
+    def write(self, name: str, text: str) -> None:
+        with self._open(name) as file:
+            file.write(text.encode())
 
     def json(self, name: str, payload: dict[str, Any]) -> None:
-        self.write(name, json.dumps(payload, indent=2, sort_keys=True) + "\n")
+        self.write(name, json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n")
 
     def csv(self, name: str, header: str, rows: Iterable[str]) -> None:
         self.write(name, "\n".join([header, *rows]) + "\n")
 
     def steps(self, name: str, columns: Iterable[str], table: np.ndarray) -> None:
-        """A CSV of a (steps, columns) table: "t,<columns>", then a row per step from t = 0."""
-        row = "%d," + ",".join(["%.12g"] * table.shape[1])  # each value as _fmt writes it
-        rows = (row % (t, *values) for t, values in enumerate(table.tolist()))
-        self.csv(name, ",".join(["t", *columns]), rows)
+        """A CSV of a (steps, columns) table: "t,<columns>", then a row per step from t = 0.
+
+        Each value is written as _fmt writes it; the rows are encoded and
+        written a block at a time, so the memory taken is bounded.
+        """
+        from ._csvrows import encode_table  # compiled only by a command that writes one
+
+        with self._open(name) as file:
+            file.write(",".join(["t", *columns]).encode() + b"\n")
+            for block in encode_table(table):
+                file.write(block)
 
     def metrics(self, name: str, record: TrajectoryRecord) -> None:
         self.steps(name, ("d_V", "d_S", "d_Sbar"),
@@ -306,7 +319,7 @@ def cmd_bounds(settings: dict[str, Any], args: argparse.Namespace) -> int:
         "delta": config.delta,
         **_bounds_dict(bounds_for_config(config)),
     }
-    print(json.dumps(payload, indent=2, sort_keys=True))
+    print(json.dumps(payload, indent=2, sort_keys=True, allow_nan=False))
     return EXIT_OK
 
 

@@ -91,6 +91,7 @@ class TestComputeBounds:
             dict(n=5, m=1.5, alpha=0.5, epsilon=0.2, delta=0.01),
             dict(n=5, m=True, alpha=0.5, epsilon=0.2, delta=0.01),
             dict(n=True, m=1, alpha=0.5, epsilon=0.2, delta=0.01),
+            dict(n=5, m=2, alpha=1e-320, epsilon=0.2, delta=0.02),  # delta2 overflows
         ],
     )
     def test_domain_errors(self, kwargs):

@@ -7,6 +7,7 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -21,6 +22,16 @@ from hktruth.harness import RunSpec, run_trajectory
 MODEL_KEYS = ("n", "epsilon", "truth", "alpha", "delta", "m", "seekers")
 RUN_KEYS = (*MODEL_KEYS, "mode", "horizon", "tail_window", "seed", "init", "output")
 REF_ARGS = ["--n", "20", "--epsilon", "0.2", "--truth", "0.8", "--alpha", "0.5", "--m", "10"]
+
+
+def write_steps(tmp_path, table):
+    """The lines ``_Output.steps`` writes for ``table``, checked against ``_fmt`` per value."""
+    _Output({"output": str(tmp_path)}).steps(
+        "table.csv", (f"c{i}" for i in range(table.shape[1])), table)
+    lines = (tmp_path / "table.csv").read_text().splitlines()
+    rows = [f"{t}," + ",".join(map(_fmt, row)) for t, row in enumerate(table.tolist())]
+    assert lines == [",".join(["t", *(f"c{i}" for i in range(table.shape[1]))]), *rows]
+    return lines
 
 
 def read_manifest(path, drop_duration=True):
@@ -213,6 +224,24 @@ class TestBoundsCommand:
         # m's range [0, n] is checked only against a valid n
         assert main(["bounds", *argv]) == 1
         assert capsys.readouterr().err == f"hktruth: error: n must be an integer >= 1, got {argv[1]}\n"
+
+    def test_bounds_that_overflow_are_refused(self, capsys):
+        # JSON has no Infinity, so an alpha this small against delta is an error
+        assert main(["bounds", "--alpha", "1e-320"]) == 1
+        assert capsys.readouterr() == ("", "hktruth: error: delta2 = inf is not finite for "
+                                           "alpha = 1e-320 and delta = 0.02\n")
+
+    def test_runs_whose_bounds_overflow_record_none(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert main(["ensemble", "--alpha", "1e-320", "--runs", "2", "--horizon", "5",
+                     "--output", str(out)]) == 0
+        assert read_manifest(out / "manifest.json")["bounds"] is None
+        assert json.loads((out / "summary.json").read_text())["bounds"] is None
+        assert main(["sweep", "--alphas", "0.5,1e-320", "--runs", "1", "--horizon", "5",
+                     "--output", str(tmp_path / "sweep")]) == 1
+        assert capsys.readouterr().err.endswith(
+            "alpha=1e-320, m=10, epsilon=0.2) is invalid: delta2 = inf is not finite for "
+            "alpha = 1e-320 and delta = 0.02\n")
 
     def test_heterogeneous_alpha_rejected(self, capsys):
         assert main(["bounds", "--n", "3", "--m", "2", "--alpha", "0.5,0.6,0.5"]) == 1
@@ -627,15 +656,46 @@ class TestOutputs:
         duration = manifest["duration_seconds"]
         assert isinstance(duration, float) and duration >= 0.0
 
-    def test_step_rows_match_the_per_value_format(self, tmp_path):
-        values = [float("nan"), float("inf"), -float("inf"), -0.0, 5e-324, 1e16, 0.1 + 0.2]
-        table = np.array([values, values[::-1]])
+    SPECIALS = [float("nan"), float("inf"), -float("inf"), -0.0, 5e-324, 1e16, 0.1 + 0.2]
+    # the edges of the encoder's float path, [1e-4, 1), and of its fallback to "%.12g"
+    POWERS = [10.0 ** -k for k in range(1, 6)]
+    TIES = [(k + 0.5) * 10.0 ** -p for k, p in ((1, 1), (2, 3), (12, 4), (314159265358, 12),
+                                                (100000000000, 13), (999999999999, 14),
+                                                (271828182845, 15), (123456789012, 16))]
+    EDGES = [
+        *(np.nextafter(v, toward) for v in POWERS for toward in (0.0, v, 1.0)),
+        0.99999999999995, 9.99999999999995e-05,
+        *(np.nextafter(v, toward) for v in TIES for toward in (0.0, v, 1.0)),
+        0.0, -0.0, 1.0, np.nextafter(1.0, 0.0), 2.0 ** -1074, 2.0 ** -1022,
+    ]
+
+    @pytest.mark.parametrize("shape", [(2, -1), (-1, 1)], ids=["rows", "one-column"])
+    def test_step_rows_match_the_per_value_format(self, tmp_path, shape):
+        values = np.array(self.SPECIALS + self.EDGES)
+        table = np.concatenate([values, values[::-1]]).reshape(shape)
+        cells = [cell for line in write_steps(tmp_path, table)[1:] for cell in line.split(",")[1:]]
+        assert cells[:16] == ["nan", "inf", "-inf", "-0", "4.94065645841e-324", "1e+16", "0.3",
+                              *["0.1"] * 3, *["0.01"] * 3, *["0.001"] * 3]
+
+    def test_step_rows_keep_the_format_across_blocks(self, tmp_path):
+        # 12,000 one-column rows are three blocks, and t gains a digit in the last
+        table = np.random.Generator(np.random.PCG64(31)).random((12_000, 1)) ** 4
+        table[::7] = np.array(self.EDGES * 250)[:len(table[::7]), None]
+        lines = write_steps(tmp_path, table)
+        assert lines[10_001].startswith("10000,")
+
+    def test_a_step_table_is_written_in_bounded_memory(self, tmp_path):
+        # the rows are encoded and written a block at a time, never held all at once
+        table = np.random.Generator(np.random.PCG64(32)).random((20_001, 50))
         out = _Output({"output": str(tmp_path)})
-        out.steps("table.csv", (f"c{i}" for i in range(len(values))), table)
-        rows = [f"{t}," + ",".join(map(_fmt, row)) for t, row in enumerate(table)]
-        lines = (tmp_path / "table.csv").read_text().splitlines()
-        assert lines == ["t,c0,c1,c2,c3,c4,c5,c6", *rows]
-        assert lines[1] == "0,nan,inf,-inf,-0,4.94065645841e-324,1e+16,0.3"
+        tracemalloc.start()
+        try:
+            out.steps("states.csv", (f"x_{i}" for i in range(50)), table)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2**20
+        assert len((tmp_path / "states.csv").read_bytes().splitlines()) == 20_002
 
     def test_sweep_failing_at_a_later_grid_point_writes_nothing(self, tmp_path, capsys):
         # m = 30 > n fails before m = 5 runs and before any file is written

@@ -6,6 +6,7 @@ import numpy as np
 from hypothesis import given, strategies as st
 
 from hktruth.bounds import compute_bounds, steered_noise
+from hktruth._csvrows import encode_rows
 from hktruth.dynamics import _DENSE_MAX_N, ModelConfig, clamp_vector, neighbor_means, step
 from oracle import clamp_unit, local_mean, neighbor_set, running_averages
 
@@ -166,3 +167,9 @@ def test_single_steered_step_contracts_above_delta(cs):
     out = step(x, config, steered_noise(neighbor_means(x, config.epsilon), config))
     d_next = float(np.max(np.abs(out - config.truth)))
     assert d_next <= d - config.delta / 2 + 1e-12
+
+
+# any float64, and many from the CSV encoder's float path, [1e-4, 1)
+@given(st.floats() | st.floats(1e-4, 1.0, exclude_max=True))
+def test_a_step_table_cell_is_written_as_format_writes_it(value):
+    assert encode_rows(np.array([[value]]), 0).tobytes() == f"0,{format(value, '.12g')}\n".encode()

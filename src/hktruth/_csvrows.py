@@ -63,9 +63,12 @@ def encode_rows(values: np.ndarray, t0: int) -> np.ndarray:
 
     width = len(str(t0 + rows - 1)) + 1  # t's digits and its comma
     width += width % 2  # so every cell starts on a uint16
-    buf = np.empty((rows, width + cols * _SLOT + 2), _U8)
-    cells = buf[:, width:-2].reshape(rows, cols, _SLOT)
-    words = cells.view(_U16)
+    # a row's words; only this C-contiguous array is viewed as bytes, as numpy < 1.23
+    # changes the item size of no other
+    buf = np.empty((rows, (width + cols * _SLOT + 2) // 2), _U16)
+    text = buf.view(_U8)
+    cells = text[:, width:-2].reshape(rows, cols, _SLOT)
+    words = buf[:, width // 2:-1].reshape(rows, cols, _SLOT // 2)
     words[..., 0] = ord("0") | ord(".") << 8
     words[..., 1] = _ZEROS[0].take(zeros)
     words[..., 2] = _ZEROS[1].take(zeros)
@@ -79,8 +82,8 @@ def encode_rows(values: np.ndarray, t0: int) -> np.ndarray:
         words[nan] = _NAN
         slow &= ~nan
     if slow.any():
-        text = b"%.12g " * int(np.count_nonzero(slow)) % tuple(values[slow].tolist())
-        cells[slow, :-1] = np.array(text.split(), "S19").view(_U8).reshape(-1, _SLOT - 1)
+        formatted = b"%.12g " * int(np.count_nonzero(slow)) % tuple(values[slow].tolist())
+        cells[slow, :-1] = np.array(formatted.split(), "S19").view(_U8).reshape(-1, _SLOT - 1)
     cells[:, cols - 1:, -1] = 0  # the last cell, if any, has no comma
 
     digits = np.arange(t0, t0 + rows)[:, None] // 10 ** np.arange(width - 2, -1, -1)
@@ -89,8 +92,8 @@ def encode_rows(values: np.ndarray, t0: int) -> np.ndarray:
     digits %= 10
     digits += 48
     digits[lead] = 0
-    buf[:, :width - 1] = digits
-    buf[:, width - 1] = ord(",")
-    buf[:, -2:] = (ord("\n"), 0)
-    flat = buf.ravel()
+    text[:, :width - 1] = digits
+    text[:, width - 1] = ord(",")
+    text[:, -2:] = (ord("\n"), 0)
+    flat = text.ravel()
     return flat[flat != 0]

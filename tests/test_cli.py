@@ -13,6 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import hktruth._csvrows
 import hktruth.cli
 import hktruth.dynamics
 from hktruth.cli import SETTINGS, _fmt, _Output, build_parser, main
@@ -683,6 +684,28 @@ class TestOutputs:
         table[::7] = np.array(self.EDGES * 250)[:len(table[::7]), None]
         lines = write_steps(tmp_path, table)
         assert lines[10_001].startswith("10000,")
+
+    def test_step_rows_change_item_size_only_on_contiguous_arrays(self, tmp_path, monkeypatch):
+        # numpy < 1.23 refuses to view an array that is not C-contiguous with another
+        # item size; the encoder's buffers are held to that rule on any numpy
+        class StrictViews(np.ndarray):
+            def view(self, *args, **kwargs):
+                dtype = kwargs.get("dtype", args[0] if args else None)
+                if (not (isinstance(dtype, type) and issubclass(dtype, np.ndarray))
+                        and dtype is not None and np.dtype(dtype).itemsize != self.itemsize):
+                    assert self.flags.c_contiguous, "a strided view to another item size"
+                return super().view(*args, **kwargs)
+
+        class Numpy:
+            def __getattr__(self, name):
+                return getattr(np, name)
+
+            def empty(self, *args, **kwargs):
+                return np.empty(*args, **kwargs).view(StrictViews)
+
+        monkeypatch.setattr(hktruth._csvrows, "np", Numpy())
+        table = np.array(self.SPECIALS + self.EDGES + [0.25, 0.5] * 20).reshape(-1, 2)
+        write_steps(tmp_path, table)
 
     def test_a_step_table_is_written_in_bounded_memory(self, tmp_path):
         # the rows are encoded and written a block at a time, never held all at once

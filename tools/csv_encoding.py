@@ -2,9 +2,10 @@
 
     python tools/csv_encoding.py BASE [HEAD] [--blocks N]
 
-BASE and HEAD are source trees (a directory holding ``src/hktruth``); HEAD
-defaults to the current directory. Run it from the repository root. Each
-tree's package is imported under its own name. For every table shape the
+BASE and HEAD are source trees (a directory holding ``src/hktruth``) or git
+revisions of this repository; HEAD defaults to the current directory. Run it
+from the repository root. Each tree's package is imported under its own
+name, by ``tools/side_by_side.py``'s loaders. For every table shape the
 CLI writes, both trees' ``cli._Output.steps`` write the same table into a
 temporary directory, in alternating blocks of ``CALLS`` calls, the side
 that goes first swapping from block to block; the script checks that both
@@ -22,7 +23,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import importlib.util
+import importlib
 import io
 import json
 import statistics
@@ -33,19 +34,15 @@ import tracemalloc
 from pathlib import Path
 
 import numpy as np
+from side_by_side import alternate, load, source_tree
 
 CALLS = 5  # per block
 REPS = 10  # cli-artifacts reps per block
 
 
-def _load(tree: Path, name: str):
-    """Import ``tree``'s hktruth package as ``name``, with its cli module."""
-    src = tree / "src" / "hktruth"
-    spec = importlib.util.spec_from_file_location(name, src / "__init__.py",
-                                                  submodule_search_locations=[str(src)])
-    package = importlib.util.module_from_spec(spec)
-    sys.modules[name] = package
-    spec.loader.exec_module(package)
+def _load(where: str, scratch: Path, name: str):
+    """Import the hktruth package of ``where`` as ``name``, with its cli module."""
+    package = load(source_tree(where, scratch), name)
     importlib.import_module(f"{name}.cli")
     return package
 
@@ -100,14 +97,12 @@ def _peak(side, outdir: Path, columns, table) -> float:
 
 def _alternate(sides: dict, blocks: int, once) -> dict[str, list[float]]:
     """Seconds per call of ``once(side)`` for each side, in alternating blocks."""
-    times: dict[str, list[float]] = {name: [] for name in sides}
-    order = list(sides)
-    for block in range(blocks):
-        for name in order if block % 2 == 0 else order[::-1]:
-            start = time.perf_counter()
-            once(sides[name])
-            times[name].append(time.perf_counter() - start)
-    return times
+    def seconds(side) -> float:
+        start = time.perf_counter()
+        once(side)
+        return time.perf_counter() - start
+
+    return alternate(sides, blocks, seconds)
 
 
 def _summary(times: dict[str, list[float]], per: int) -> dict:
@@ -131,17 +126,19 @@ def _rep_argv(outdir: Path, seed: int) -> list[list[str]]:
 
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("base", type=Path)
-    parser.add_argument("head", type=Path, nargs="?", default=Path("."))
+    parser.add_argument("base", help="source tree or git revision")
+    parser.add_argument("head", nargs="?", default=".", help="source tree or git revision")
     parser.add_argument("--blocks", type=int, default=40)
     args = parser.parse_args()
-    sides = {"base": _load(args.base, "hk_base"), "head": _load(args.head, "hk_head")}
-    encode_table = importlib.import_module("hk_head._csvrows").encode_table
     result: dict = {"blocks": args.blocks, "calls_per_block": CALLS, "tables": {},
                     "numpy": np.__version__, "python": sys.version.split()[0]}
 
+    # the trees stay on disk while they run: the head imports _csvrows at its first table
     with tempfile.TemporaryDirectory() as tmp:
         tmp = Path(tmp)
+        sides = {"base": _load(args.base, tmp / "trees", "hk_base"),
+                 "head": _load(args.head, tmp / "trees", "hk_head")}
+        encode_table = importlib.import_module("hk_head._csvrows").encode_table
         for label, (columns, table) in _tables(sides["head"]).items():
             files = {}
             for name, side in sides.items():
@@ -183,17 +180,17 @@ def main() -> int:
                     if code != 0:
                         raise SystemExit(f"{argv[0]} failed")
 
-        totals = {name: [] for name in sides}
-        shares = {name: [] for name in sides}
-        order = list(sides)
-        for block in range(max(4, args.blocks // 4)):
-            for name in order if block % 2 == 0 else order[::-1]:
-                in_steps[name] = 0.0
-                start = time.perf_counter()
-                rep_block(sides[name])
-                total = time.perf_counter() - start
-                totals[name].append(total)
-                shares[name].append(in_steps[name] / total)
+        def total_and_share(name):
+            in_steps[name] = 0.0
+            start = time.perf_counter()
+            rep_block(sides[name])
+            total = time.perf_counter() - start
+            return total, in_steps[name] / total
+
+        blocks = alternate({name: name for name in sides}, max(4, args.blocks // 4),
+                           total_and_share)
+        totals = {name: [total for total, _ in b] for name, b in blocks.items()}
+        shares = {name: [share for _, share in b] for name, b in blocks.items()}
         result["cli_artifacts_rep"] = {
             name: {"best_ms_per_rep": round(min(totals[name]) / REPS * 1e3, 3),
                    "steps_share_of_best_block": round(

@@ -17,7 +17,9 @@ case is timed in alternating blocks of ``CALLS`` calls, the side that goes
 first swapping from block to block, and the script prints the best and the
 median µs per call of each side as JSON. Pin
 BLAS to one thread (``OPENBLAS_NUM_THREADS=1``) for figures comparable
-with the repository's BENCH files.
+with the repository's BENCH files. ``tools/csv_encoding.py`` loads its trees
+and alternates its blocks with this script's ``source_tree``, ``load`` and
+``alternate``.
 """
 
 from __future__ import annotations
@@ -88,8 +90,8 @@ def _cases() -> dict[str, tuple[str, list[np.ndarray], float, tuple | None]]:
     return cases
 
 
-def _tree(where: str, scratch: Path) -> Path:
-    """The directory of ``where``'s ``dynamics.py``: a tree's, or a revision's archive."""
+def source_tree(where: str, scratch: Path) -> Path:
+    """The ``src/hktruth`` directory of ``where``: a tree's, or a revision's archive."""
     if Path(where).is_dir():
         return Path(where).resolve() / "src" / "hktruth"
     tar = subprocess.run(["git", "-C", str(REPO), "archive", where, "src/hktruth"],
@@ -102,8 +104,12 @@ def _tree(where: str, scratch: Path) -> Path:
     return out / "src" / "hktruth"
 
 
-def _load(path: Path, name: str):
-    spec = importlib.util.spec_from_file_location(name, path / "dynamics.py")
+def load(path: Path, name: str):
+    """Import ``path`` as ``name``: a package if it is a directory, else that one file."""
+    package = path.is_dir()
+    spec = importlib.util.spec_from_file_location(
+        name, path / "__init__.py" if package else path,
+        submodule_search_locations=[str(path)] if package else None)
     module = importlib.util.module_from_spec(spec)
     sys.modules[name] = module  # dataclasses look their module up here
     spec.loader.exec_module(module)
@@ -134,22 +140,29 @@ def _block(fn, profiles: list[np.ndarray], args: tuple) -> float:
     return (time.perf_counter() - start) / CALLS * 1e6
 
 
+def alternate(sides: dict, blocks: int, measure) -> dict[str, list]:
+    """``measure(sides[name])`` for each side in ``blocks`` rounds, the first side swapping."""
+    times: dict[str, list] = {name: [] for name in sides}
+    order = list(sides)
+    for block in range(blocks):
+        for name in order if block % 2 == 0 else order[::-1]:
+            times[name].append(measure(sides[name]))
+    return times
+
+
 def compare(base: str, head: str, blocks: int, names: list[str] | None) -> dict:
     cases = _cases()
     sides = {"base": base, "head": head}
     with tempfile.TemporaryDirectory() as scratch:
-        modules = {side: _load(_tree(where, Path(scratch)), f"side_by_side_{side}_dynamics")
+        modules = {side: load(source_tree(where, Path(scratch)) / "dynamics.py",
+                              f"side_by_side_{side}_dynamics")
                    for side, where in sides.items()}
     kernels = {side: _kernel(module) for side, module in modules.items()}
     result = {}
     for name in names or list(cases):
         what, profiles, epsilon, step = cases[name]
         calls = {side: _call(module, epsilon, step) for side, module in modules.items()}
-        times: dict[str, list[float]] = {side: [] for side in sides}
-        for b in range(blocks):
-            for side in (("base", "head") if b % 2 == 0 else ("head", "base")):
-                fn, args = calls[side]
-                times[side].append(_block(fn, profiles, args))
+        times = alternate(calls, blocks, lambda call: _block(call[0], profiles, call[1]))
         result[name] = {"selects": what, "shape": list(profiles[0].shape), "epsilon": epsilon,
                         "calls": calls["head"][0].__name__}
         for side, ts in times.items():

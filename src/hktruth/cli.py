@@ -94,10 +94,12 @@ SETTINGS: dict[str, tuple[Callable[[str], Any], Any, str]] = {
     "alpha": (_alpha, 0.5, "attraction strength: scalar or per-agent comma list"),
     "delta": (float, 0.02, "noise strength >= 0"),
     "m": (int, 10, "seeker count; seekers are agents 0..m-1"),
-    "seekers": (_ints, None, "explicit comma list of seeker indices (overrides --m)"),
+    "seekers": (_ints, None,
+                "explicit comma list of seeker indices (not with --m; replaces a config file's m)"),
     "mode": (_mode, MODE_IID, f"dynamics mode: {', '.join(MODES)}, or iid for {MODE_IID}"),
     "horizon": (int, 1000, "steps per run"),
-    "tail_window": (int, None, "trailing steps for the tail supremum (default horizon/10)"),
+    "tail_window": (int, None,
+                    "trailing steps for the tail supremum (default max(1, horizon // 10))"),
     "seed": (int, 0, "RNG seed: the first run's seed, or the suite seed of verify"),
     "init": (_init, "uniform-random", '"uniform-random" or a comma list of initial opinions'),
     "output": (str, "out", "output directory"),

@@ -751,6 +751,30 @@ class TestOutputs:
         words = set(re.findall(r"[a-z]+(?:-[a-z]+)*", entry.split("MODE", 1)[1]))
         assert {"noise-free", "iid-noise", "steered", "iid"} <= words
 
+    def test_help_of_seekers_and_tail_window_says_what_the_code_does(self, tmp_path, capsys,
+                                                                     monkeypatch):
+        monkeypatch.setenv("COLUMNS", "1000")  # so no help text is wrapped
+        with pytest.raises(SystemExit):
+            main(["simulate", "--help"])
+        text = " ".join(capsys.readouterr().out.split())
+        assert ("--seekers SEEKERS explicit comma list of seeker indices "
+                "(not with --m; replaces a config file's m) --mode") in text
+        assert ("--tail-window TAIL_WINDOW trailing steps for the tail supremum "
+                "(default max(1, horizon // 10)) --seed") in text
+        # --seekers with --m is refused; a config file's m gives way to --seekers
+        assert main(["bounds", "--seekers", "0,1", "--m", "2"]) == 1
+        assert "give either --m or --seekers, not both" in capsys.readouterr().err
+        cfg = tmp_path / "m.cfg"
+        cfg.write_text("m = 3\n")
+        assert main(["bounds", "--config", str(cfg), "--seekers", "0,1"]) == 0
+        assert json.loads(capsys.readouterr().out)["m"] == 2
+        # horizon 9 rounds down to a window of 0 steps, which becomes 1
+        for horizon, window in ((9, 1), (25, 2)):
+            out = tmp_path / f"h{horizon}"
+            assert main(["simulate", "--horizon", str(horizon), "--output", str(out)]) == 0
+            manifest = json.loads((out / "manifest.json").read_text())
+            assert manifest["run"]["tail_window"] == window
+
 
 def run_fresh(*argv):
     """``python -m hktruth`` in a child that imports the same hktruth as this process."""
